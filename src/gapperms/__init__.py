@@ -10,6 +10,7 @@ from .closed_forms import (
     riordan_sequence,
     robbins,
 )
+from .engines import compute
 from .inclusion_exclusion import count, sequence
 from .matsuo import MatsuoMap, fast22, matsuo_map, rin
 from .oracle import (
@@ -52,6 +53,7 @@ __all__ = [
     "TilingPolynomial",
     "brute_count",
     "coefficient",
+    "compute",
     "count",
     "count_with_exceptions",
     "extend",

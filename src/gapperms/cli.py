@@ -18,52 +18,10 @@ import os
 import sys
 import time
 
-from . import closed_forms, inclusion_exclusion, matsuo, oracle, recurrences, tilings
+from . import engines, recurrences, tilings
 from .specs import ABSOLUTE, SIGNED, SequenceSpec
 
 CACHE_ENV = "GAPPERMS_CACHE_DIR"
-
-ENGINES = ("oracle", "ie", "navarrete", "riordan", "robbins", "r1fast", "matsuo", "auto")
-
-
-def _inapplicable(engine: str, spec: SequenceSpec):
-    """Reason the engine cannot serve this spec, or None if it can."""
-    if engine == "navarrete" and not (spec.r == 1 and spec.mode == SIGNED):
-        return "navarrete requires r=1 and signed mode"
-    if engine in ("riordan", "robbins") and not (
-        spec.r == 1 and spec.s == 1 and spec.mode == ABSOLUTE
-    ):
-        return f"{engine} requires r=1, s=1 and absolute mode"
-    if engine == "r1fast" and spec.r != 1:
-        return "r1fast requires r=1"
-    if engine == "matsuo" and not (spec.r == 2 and spec.s == 2):
-        return "matsuo requires r=2 and s=2"
-    return None
-
-
-def _resolve_auto(spec: SequenceSpec) -> str:
-    for engine in ("navarrete", "riordan", "r1fast", "matsuo"):
-        if _inapplicable(engine, spec) is None:
-            return engine
-    return "ie"
-
-
-def _run_engine(engine: str, spec: SequenceSpec, n_max: int) -> list:
-    if engine == "oracle":
-        return [oracle.brute_count(spec, n) for n in range(1, n_max + 1)]
-    if engine == "ie":
-        return inclusion_exclusion.sequence(spec, n_max)
-    if engine == "navarrete":
-        return closed_forms.navarrete_recurrence(spec.s, n_max)
-    if engine == "riordan":
-        return closed_forms.riordan_sequence(n_max)
-    if engine == "robbins":
-        return [closed_forms.robbins(n) for n in range(1, n_max + 1)]
-    if engine == "r1fast":
-        return closed_forms.fast_r1(spec.s, spec.mode, n_max)
-    if engine == "matsuo":
-        return [matsuo.fast22(n, spec.mode) for n in range(1, n_max + 1)]
-    raise ValueError(f"unknown engine {engine!r}")
 
 
 def _mode(value: str) -> str:
@@ -116,47 +74,59 @@ def _cache_path(cache_dir, spec: SequenceSpec, engine: str):
     return os.path.join(cache_dir, name)
 
 
+def _read_cache(path: str, n_max: int):
+    """Terms 1..n_max from a cache file, or None on a miss.  A file that is
+    absent, too short, does not end in a newline or does not parse (a torn
+    write) is a miss."""
+    try:
+        with open(path) as fh:
+            torn = not fh.read().endswith("\n")
+        cached = read_bfile(path)
+    except (OSError, ValueError):
+        return None
+    if torn or cached.offset != 1 or len(cached.values) < n_max:
+        return None
+    return cached.values[:n_max]
+
+
+def _write_atomic(path: str, text: str):
+    """Readers see either the old file or the whole new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
+def _engine_list(text: str) -> list:
+    return [e.strip() for e in text.split(",") if e.strip()]
+
+
 def cmd_compute(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
-    engine = args.engine
-    if engine == "auto":
-        engine = _resolve_auto(spec)
-    reason = _inapplicable(engine, spec)
-    if reason:
-        print(f"error: engine {engine!r} not applicable: {reason}", file=sys.stderr)
-        return 2
+    engine = engines.resolve(spec, args.engine)
     cache = _cache_path(args.cache_dir, spec, engine) if args.offset == 1 else None
-    values = None
-    if cache and os.path.exists(cache):
-        cached = read_bfile(cache)
-        if len(cached.values) >= args.n and cached.offset == 1:
-            values = cached.values[: args.n]
+    values = _read_cache(cache, args.n) if cache else None
     if values is None:
-        values = _run_engine(engine, spec, args.n)
+        values = engines.compute(spec, args.n, engine)
         if cache:
-            with open(cache, "w") as fh:
-                fh.write(_bfile_text(values, 1))
+            _write_atomic(cache, _bfile_text(values, 1))
     _emit(_bfile_text(values, args.offset), args.bfile)
     return 0
 
 
 def cmd_crosscheck(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    if len(engines) < 2:
+    names = _engine_list(args.engines)
+    if len(names) < 2:
         print("error: crosscheck needs at least two engines", file=sys.stderr)
         return 2
-    for engine in engines:
-        if engine not in ENGINES or engine == "auto":
-            print(f"error: unknown engine {engine!r}", file=sys.stderr)
-            return 2
-        reason = _inapplicable(engine, spec)
-        if reason:
-            print(f"error: engine {engine!r} not applicable: {reason}", file=sys.stderr)
-            return 2
-    results = {e: _run_engine(e, spec, args.n) for e in engines}
-    reference = engines[0]
-    for other in engines[1:]:
+    for name in names:
+        if name not in engines.ENGINES:  # "auto" too: it would repeat a concrete engine
+            raise ValueError(f"unknown engine {name!r}")
+        engines.resolve(spec, name)
+    results = {e: engines.compute(spec, args.n, e) for e in names}
+    reference = names[0]
+    for other in names[1:]:
         for n in range(1, args.n + 1):
             a, b = results[reference][n - 1], results[other][n - 1]
             if a != b:
@@ -165,7 +135,7 @@ def cmd_crosscheck(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    print(f"ok: {', '.join(engines)} agree for n=1..{args.n}")
+    print(f"ok: {', '.join(names)} agree for n=1..{args.n}")
     return 0
 
 
@@ -222,15 +192,12 @@ def cmd_extend(args) -> int:
 
 def cmd_bench(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
-    for engine in args.engines.split(","):
-        engine = engine.strip()
-        reason = _inapplicable(engine, spec)
-        if reason:
-            print(f"error: engine {engine!r} not applicable: {reason}", file=sys.stderr)
-            return 2
+    names = _engine_list(args.engines)
+    resolved = [engines.resolve(spec, name) for name in names]
+    for name, engine in zip(names, resolved):
         start = time.perf_counter()
-        _run_engine(engine, spec, args.n)
-        print(f"{engine} {time.perf_counter() - start:.3f}s")
+        engines.compute(spec, args.n, engine)
+        print(f"{name} {time.perf_counter() - start:.3f}s")
     return 0
 
 
@@ -250,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute terms with one engine")
     _add_spec_args(p)
-    p.add_argument("--engine", choices=ENGINES, default="auto")
+    p.add_argument("--engine", choices=(*engines.ENGINES, "auto"), default="auto")
     p.add_argument("--bfile", help="write terms to this path instead of stdout")
     p.add_argument("--offset", type=int, default=1, help="b-file index of the first term")
     p.add_argument("--cache-dir", help=f"term cache directory (default ${CACHE_ENV})")
@@ -299,9 +266,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except oracle.EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

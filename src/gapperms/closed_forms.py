@@ -7,11 +7,9 @@ rising or falling successions (OEIS A002464); and a run-profile summation
 covers both modes for every s in polynomial time.
 """
 
-from functools import lru_cache
 from math import comb, factorial
 
-from . import oracle
-from .specs import ABSOLUTE, SIGNED, SequenceSpec, check_mode
+from .specs import ABSOLUTE, check_mode
 from .tilings import _profile_counts
 
 
@@ -30,54 +28,33 @@ def navarrete_sum(s: int, n: int) -> int:
     return sum((-1) ** j * comb(n - s, j) * factorial(n - j) for j in range(n - s + 1))
 
 
-@lru_cache(maxsize=None)
-def _validated_seeds(s: int, upto: int) -> tuple:
-    """Factorial seeds for n = 0..upto, checked against the brute-force oracle."""
-    spec = SequenceSpec(1, s, SIGNED)
-    seeds = []
-    for n in range(upto + 1):
-        seed = factorial(n)
-        if n <= 7 and oracle.brute_count(spec, n) != seed:
-            raise AssertionError(f"recurrence seed at n={n} (s={s}) disagrees with the oracle")
-        seeds.append(seed)
-    return tuple(seeds)
-
-
 def navarrete_recurrence(s: int, n_max: int) -> list:
     """The same counts as navarrete_sum for n = 1..n_max, via
     a(n) = (n-1) a(n-1) + (n-s-1) a(n-2).
 
     The recurrence is applied from n = max(2, s+1); below that the theorem's
-    n >= s precondition fails for s >= 2 and the seeds are the factorials
-    (oracle-checked, not trusted blindly).
+    n >= s precondition fails for s >= 2 and the seeds are the factorials.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     start = max(2, s + 1)
-    seeds = _validated_seeds(s, min(start - 1, n_max))
-    values = list(seeds)  # index n = 0..
+    values = [factorial(n) for n in range(min(start - 1, n_max) + 1)]  # index n = 0..
     for n in range(start, n_max + 1):
         values.append((n - 1) * values[n - 1] + (n - s - 1) * values[n - 2])
     return values[1:n_max + 1]
-
-
-@lru_cache(maxsize=None)
-def _riordan_seeds() -> tuple:
-    spec = SequenceSpec(1, 1, ABSOLUTE)
-    return tuple(oracle.brute_count(spec, n) for n in range(1, 5))
 
 
 def riordan_sequence(n_max: int) -> list:
     """Permutations of {1..n} without rising or falling successions,
     n = 1..n_max, via Riordan's recurrence
     b(n) = (n+1) b(n-1) - (n-2) b(n-2) - (n-5) b(n-3) + (n-3) b(n-4),
-    seeded from the oracle for n <= 4.
+    seeded with b(1..4) = 1, 0, 0, 2.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values = list(_riordan_seeds()[:n_max])
+    values = [1, 0, 0, 2][:n_max]
     for n in range(5, n_max + 1):
         b1, b2, b3, b4 = values[-1], values[-2], values[-3], values[-4]
         values.append((n + 1) * b1 - (n - 2) * b2 - (n - 5) * b3 + (n - 3) * b4)

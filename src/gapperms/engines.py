@@ -1,0 +1,54 @@
+"""The engine table: which engine serves which spec, and how to run it.
+
+Each engine name maps to (scope predicate, requirement text, runner).  A
+runner takes (spec, n_max) and returns the terms for n = 1..n_max.  Runners
+look their functions up on the engine modules at call time, so a wrapper
+set on a module attribute applies here too.
+"""
+
+from . import closed_forms, inclusion_exclusion, matsuo, oracle
+from .specs import ABSOLUTE, SIGNED, SequenceSpec
+
+
+def _classic(spec):
+    return spec.r == 1 and spec.s == 1 and spec.mode == ABSOLUTE
+
+
+ENGINES = {
+    "oracle": (lambda spec: True, None, lambda spec, n: oracle.brute_sequence(spec, n)),
+    "ie": (lambda spec: True, None, lambda spec, n: inclusion_exclusion.sequence(spec, n)),
+    "navarrete": (lambda spec: spec.r == 1 and spec.mode == SIGNED, "r=1 and signed mode",
+                  lambda spec, n: closed_forms.navarrete_recurrence(spec.s, n)),
+    "riordan": (_classic, "r=1, s=1 and absolute mode",
+                lambda spec, n: closed_forms.riordan_sequence(n)),
+    "robbins": (_classic, "r=1, s=1 and absolute mode",
+                lambda spec, n: [closed_forms.robbins(k) for k in range(1, n + 1)]),
+    "r1fast": (lambda spec: spec.r == 1, "r=1",
+               lambda spec, n: closed_forms.fast_r1(spec.s, spec.mode, n)),
+    "matsuo": (lambda spec: spec.r == 2 and spec.s == 2, "r=2 and s=2",
+               lambda spec, n: [matsuo.fast22(k, spec.mode) for k in range(1, n + 1)]),
+}
+
+# "auto" takes the first of these whose scope admits the spec, else "ie".
+AUTO_ORDER = ("navarrete", "riordan", "r1fast", "matsuo")
+
+
+def resolve(spec: SequenceSpec, engine: str) -> str:
+    """The concrete engine that serves spec under the name `engine`.
+
+    Raises ValueError for an unknown name or an engine whose scope does
+    not admit spec.
+    """
+    if engine == "auto":
+        return next((e for e in AUTO_ORDER if ENGINES[e][0](spec)), "ie")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    applies, requirement, _ = ENGINES[engine]
+    if not applies(spec):
+        raise ValueError(f"engine {engine!r} not applicable: {engine} requires {requirement}")
+    return engine
+
+
+def compute(spec: SequenceSpec, n_max: int, engine: str = "auto") -> list:
+    """Terms for n = 1..n_max from the named engine ("auto" picks one)."""
+    return ENGINES[resolve(spec, engine)][2](spec, n_max)

@@ -22,20 +22,16 @@ from .specs import ABSOLUTE, SequenceSpec
 from .tilings import _tiling_terms
 
 
-def count(spec: SequenceSpec, n: int) -> int:
-    """Permutations of {1..n} with pi[i+r] - pi[i] != s for every i
-    (absolute mode: |pi[i+r] - pi[i]| != s)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    pr = _tiling_terms(spec.r, n)
-    ps = _tiling_terms(spec.s, n)
-    if len(ps) < len(pr):
-        pr, ps = ps, pr  # enumerate the sparser support, probe the other
+def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
+    """The signed sum above over the monomials common to two tiling
+    enumerators pa and pb of boards with n cells each."""
+    if len(pb) < len(pa):
+        pa, pb = pb, pa  # enumerate the sparser support, probe the other
     fact = [factorial(k) for k in range(n + 1)]
-    absolute = spec.mode == ABSOLUTE
+    absolute = mode == ABSOLUTE
     total = 0
-    for mono, ca in pr.items():
-        cb = ps.get(mono)
+    for mono, ca in pa.items():
+        cb = pb.get(mono)
         if not cb:
             continue
         m = sum(mono)
@@ -46,6 +42,14 @@ def count(spec: SequenceSpec, n: int) -> int:
             term <<= m - (mono[0] if mono else 0)
         total += term if (n - m) % 2 == 0 else -term
     return total
+
+
+def count(spec: SequenceSpec, n: int) -> int:
+    """Permutations of {1..n} with pi[i+r] - pi[i] != s for every i
+    (absolute mode: |pi[i+r] - pi[i]| != s)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return partition_sum(_tiling_terms(spec.r, n), _tiling_terms(spec.s, n), n, spec.mode)
 
 
 def sequence(spec: SequenceSpec, n_max: int) -> list:

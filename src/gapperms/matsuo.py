@@ -31,8 +31,7 @@ is O(n^4) per term with small constants.
 
 from dataclasses import dataclass
 
-from . import oracle
-from .specs import ABSOLUTE, SequenceSpec, check_mode
+from .specs import ABSOLUTE, check_mode
 
 
 @dataclass(frozen=True)
@@ -164,28 +163,6 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     return sum(sum(row) for row in d_prev[a])
 
 
-_ABSOLUTE_RULE_OK = False
-
-
-def _validate_absolute_rule():
-    """Check rin's absolute waiver convention against the brute-force oracle
-    on the gap-2 diagonal before trusting it; refuse loudly on mismatch."""
-    global _ABSOLUTE_RULE_OK
-    if _ABSOLUTE_RULE_OK:
-        return
-    spec = SequenceSpec(2, 2, ABSOLUTE)
-    for m in range(2, 9):
-        h = (m + 1) // 2
-        got = rin(m, h, h, ABSOLUTE)
-        want = oracle.brute_count(spec, m)
-        if got != want:
-            raise RuntimeError(
-                f"absolute exception rule failed validation at n={m}: "
-                f"rin gives {got}, oracle gives {want}; refusing to emit numbers"
-            )
-    _ABSOLUTE_RULE_OK = True
-
-
 def fast22(n: int, mode: str) -> int:
     """The gap-2 diagonal count (signed or absolute) via rin at
     a = b = floor((n+1)/2).  Polynomial per term, unlike the partition sum,
@@ -196,7 +173,5 @@ def fast22(n: int, mode: str) -> int:
         raise ValueError("n must be >= 1")
     if n == 1:
         return 1
-    if mode == ABSOLUTE:
-        _validate_absolute_rule()
     h = (n + 1) // 2
     return rin(n, h, h, mode)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gapperms import cli
+from gapperms import cli, inclusion_exclusion, oracle
 
 
 def run(capsys, *argv):
@@ -34,11 +34,15 @@ def test_compute_inapplicable_engine(capsys):
     assert "navarrete" in err and "r=1" in err
 
 
-def test_compute_oracle_cap(capsys):
+def test_compute_oracle_cap(capsys, monkeypatch):
+    # the cap is checked for the whole range before any enumeration starts
+    calls = []
+    monkeypatch.setattr(oracle, "brute_count", lambda spec, n, *a: calls.append(n) or 0)
     rc, _, err = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "signed",
                      "--n", "12", "--engine", "oracle")
-    assert rc != 0
+    assert rc == 2
     assert "cap" in err
+    assert calls == []
 
 
 def test_auto_matches_concrete_engines(capsys):
@@ -111,6 +115,22 @@ def test_cache_hits_are_byte_identical(tmp_path, capsys):
     assert out3 == out1
 
 
+def test_torn_cache_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "20",
+            "--engine", "riordan", "--cache-dir", str(cache)]
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0 and out.endswith("20 327460573946510746\n")
+    path = cache / "r1_s1_absolute_riordan.bfile"
+    whole = path.read_bytes()
+    for torn in (whole[:-6], whole[:-1], b"1 1\n2 x\n", b""):
+        path.write_bytes(torn)
+        rc, again, _ = run(capsys, *args)
+        assert rc == 0 and again == out
+        assert path.read_bytes() == whole
+    assert [p.name for p in cache.iterdir()] == [path.name]
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
     rc, out, _ = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "signed",
@@ -138,15 +158,14 @@ def test_crosscheck_rejects_inapplicable(capsys):
 
 
 def test_crosscheck_reports_first_mismatch(capsys, monkeypatch):
-    real = cli._run_engine
+    real = inclusion_exclusion.sequence
 
-    def broken(engine, spec, n_max):
-        values = real(engine, spec, n_max)
-        if engine == "ie":
-            values[4] += 1
+    def broken(spec, n_max):
+        values = real(spec, n_max)
+        values[4] += 1
         return values
 
-    monkeypatch.setattr(cli, "_run_engine", broken)
+    monkeypatch.setattr(inclusion_exclusion, "sequence", broken)
     rc, out, err = run(capsys, "crosscheck", "--r", "1", "--s", "1", "--mode", "signed",
                        "--n", "8", "--engines", "navarrete,ie")
     assert rc == 1
@@ -239,3 +258,18 @@ def test_bench_runs(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("riordan ") and lines[1].startswith("robbins ")
+
+
+def test_bench_accepts_auto(capsys):
+    rc, out, _ = run(capsys, "bench", "--r", "1", "--s", "1", "--mode", "signed",
+                     "--n", "8", "--engines", "auto")
+    assert rc == 0
+    assert out.startswith("auto ") and len(out.splitlines()) == 1
+
+
+def test_bench_resolves_every_engine_before_timing(capsys):
+    rc, out, err = run(capsys, "bench", "--r", "1", "--s", "1", "--mode", "abs",
+                       "--n", "8", "--engines", "riordan,navarrete")
+    assert rc == 2
+    assert out == ""
+    assert "navarrete" in err and "r=1 and signed mode" in err

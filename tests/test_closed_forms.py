@@ -46,9 +46,13 @@ def test_navarrete_recurrence_matches_sum():
 
 
 def test_navarrete_matches_oracle_small():
-    for s in range(1, 5):
-        for n in range(0, 7):
-            assert navarrete_sum(s, n) == brute_count(SequenceSpec(1, s, SIGNED), n)
+    # s up to 8 covers every factorial seed of the recurrence within n <= 7
+    for s in range(1, 9):
+        rec = navarrete_recurrence(s, 7)
+        for n in range(0, 8):
+            want = brute_count(SequenceSpec(1, s, SIGNED), n)
+            assert navarrete_sum(s, n) == want, (s, n)
+            assert n == 0 or rec[n - 1] == want, (s, n)
 
 
 def test_second_order_identity_for_s1():

@@ -1,0 +1,46 @@
+"""The engine table: every engine against the oracle inside its scope, a
+loud refusal outside it, and the "auto" choice."""
+
+import pytest
+
+from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, cli, compute
+from gapperms.engines import ENGINES, resolve
+
+SPECS = [SequenceSpec(r, s, mode) for r in (1, 2, 3) for s in (1, 2, 3)
+         for mode in (SIGNED, ABSOLUTE)]
+
+
+def expected_auto(spec):
+    if spec.r == 1 and spec.mode == SIGNED:
+        return "navarrete"
+    if spec.r == 1 and spec.s == 1:
+        return "riordan"
+    if spec.r == 1:
+        return "r1fast"
+    if spec.r == 2 and spec.s == 2:
+        return "matsuo"
+    return "ie"
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda sp: f"r{sp.r}s{sp.s}{sp.mode[:3]}")
+def test_every_engine_in_scope_matches_oracle_and_refuses_outside(spec, capsys):
+    want = [brute_count(spec, n) for n in range(1, 9)]
+    mode = "abs" if spec.mode == ABSOLUTE else "signed"
+    for engine, (applies, requirement, _) in ENGINES.items():
+        if applies(spec):
+            assert compute(spec, 8, engine) == want, engine
+            continue
+        with pytest.raises(ValueError, match=requirement):
+            compute(spec, 8, engine)
+        rc = cli.main(["compute", "--r", str(spec.r), "--s", str(spec.s), "--mode", mode,
+                       "--n", "8", "--engine", engine])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert f"{engine} requires {requirement}" in captured.err
+    assert resolve(spec, "auto") == expected_auto(spec)
+    assert compute(spec, 8) == want
+
+
+def test_unknown_engine_is_refused():
+    with pytest.raises(ValueError, match="unknown engine 'nope'"):
+        compute(SequenceSpec(1, 1, SIGNED), 3, "nope")
