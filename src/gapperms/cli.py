@@ -18,6 +18,16 @@ import os
 import sys
 import time
 
+# The builtin sha256 (_sha256 up to Python 3.11, _sha2 after) spares the
+# load of OpenSSL that importing hashlib costs: about 4 MB of resident memory.
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from . import engines, recurrences, tilings
 from .specs import ABSOLUTE, SIGNED, SequenceSpec
 
@@ -32,28 +42,32 @@ def _bfile_text(values: list, offset: int) -> str:
     return "".join(f"{offset + i} {v}\n" for i, v in enumerate(values))
 
 
-def read_bfile(path: str) -> recurrences.TermTable:
+def _parse_bfile(lines, where: str) -> recurrences.TermTable:
     offset = None
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'n value', got {line!r}")
-            try:
-                n, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}")
-            if offset is None:
-                offset = n
-            elif n != offset + len(values):
-                raise ValueError(f"{path}:{lineno}: index {n} breaks the run")
-            values.append(v)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{where}:{lineno}: expected 'n value', got {line!r}")
+        try:
+            n, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{where}:{lineno}: non-integer field in {line!r}")
+        if offset is None:
+            offset = n
+        elif n != offset + len(values):
+            raise ValueError(f"{where}:{lineno}: index {n} breaks the run")
+        values.append(v)
     if offset is None:
-        raise ValueError(f"{path}: no terms found")
+        raise ValueError(f"{where}: no terms found")
     return recurrences.TermTable(offset, values)
+
+
+def read_bfile(path: str) -> recurrences.TermTable:
+    with open(path) as fh:
+        return _parse_bfile(fh, path)
 
 
 def _emit(text: str, path):
@@ -74,17 +88,30 @@ def _cache_path(cache_dir, spec: SequenceSpec, engine: str):
     return os.path.join(cache_dir, name)
 
 
+def _trailer(body: str) -> str:
+    """Last line of a cache file: the term count and a sha256 of the body."""
+    count = body.count("\n")
+    digest = sha256(body.encode()).hexdigest()
+    return f"# {count} sha256 {digest}\n"
+
+
 def _read_cache(path: str, n_max: int):
     """Terms 1..n_max from a cache file, or None on a miss.  A file that is
-    absent, too short, does not end in a newline or does not parse (a torn
-    write) is a miss."""
+    absent, too short, or whose trailer is missing or does not match its body
+    (a torn write, an edited line, the older trailer-less format) is a miss."""
     try:
         with open(path) as fh:
-            torn = not fh.read().endswith("\n")
-        cached = read_bfile(path)
-    except (OSError, ValueError):
+            text = fh.read()
+    except OSError:
         return None
-    if torn or cached.offset != 1 or len(cached.values) < n_max:
+    body = text[:text.rfind("\n", 0, -1) + 1]
+    if text != body + _trailer(body):
+        return None
+    try:
+        cached = _parse_bfile(body.splitlines(), path)
+    except ValueError:
+        return None
+    if cached.offset != 1 or not 1 <= n_max <= len(cached.values):
         return None
     return cached.values[:n_max]
 
@@ -109,7 +136,8 @@ def cmd_compute(args) -> int:
     if values is None:
         values = engines.compute(spec, args.n, engine)
         if cache:
-            _write_atomic(cache, _bfile_text(values, 1))
+            body = _bfile_text(values, 1)
+            _write_atomic(cache, body + _trailer(body))
     _emit(_bfile_text(values, args.offset), args.bfile)
     return 0
 

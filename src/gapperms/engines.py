@@ -51,4 +51,7 @@ def resolve(spec: SequenceSpec, engine: str) -> str:
 
 def compute(spec: SequenceSpec, n_max: int, engine: str = "auto") -> list:
     """Terms for n = 1..n_max from the named engine ("auto" picks one)."""
-    return ENGINES[resolve(spec, engine)][2](spec, n_max)
+    engine = resolve(spec, engine)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    return ENGINES[engine][2](spec, n_max)

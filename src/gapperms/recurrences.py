@@ -6,16 +6,15 @@ polynomials p_0 .. p_rho (constant term first) asserting
     p_0(n) t(n) + p_1(n) t(n-1) + ... + p_rho(n) t(n-rho) = 0
 
 for every applicable n.  Fitting is plain undetermined coefficients: set up
-the exact rational linear system over a window of known terms, compute its
-nullspace by Gaussian elimination over Fraction, and accept only a
-one-dimensional nullspace that also annihilates a held-out tail.  Floating
-point is never used; a spurious approximate nullspace would defeat the
-whole point.
+the exact integer linear system over a window of known terms, find its
+nullspace by fraction-free (Bareiss) elimination over Python ints, and
+accept only a one-dimensional nullspace that also annihilates a held-out
+tail.  Neither floating point nor Fraction is used; a spurious approximate
+nullspace would defeat the whole point.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 @dataclass
@@ -99,46 +98,63 @@ class RecurrenceOperator:
         return sum(poly_eval(p, n) * terms[n - j] for j, p in enumerate(self.coeffs))
 
 
-def _nullspace(rows: list, ncols: int) -> list:
-    """Basis of the exact rational nullspace of the given row system."""
-    mat = [list(row) for row in rows]
+def _kernel(rows: list, ncols: int):
+    """Nullity of the integer row system, and its integer kernel vector when
+    the nullity is 1 (else None).
+
+    Fraction-free (Bareiss) forward elimination: each update divides by the
+    previous pivot, and Sylvester's identity makes that division exact, so
+    every entry stays an integer minor of the input.  The rank is the number
+    of pivots.
+    """
+    mat = list(rows)
     pivot_cols = []
-    r = 0
+    prev = 1
     for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        r = len(pivot_cols)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / Fraction(mat[r][col])
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        top = mat[r]
+        p = top[col]
+        for i in range(r + 1, len(mat)):
+            row, f = mat[i], mat[i][col]
+            # entries left of col are already zero in both rows
+            mat[i] = [0] * (col + 1) + [
+                (p * x - f * y) // prev for x, y in zip(row[col + 1:], top[col + 1:])
+            ]
+        prev = p
         pivot_cols.append(col)
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[row_idx][fc]
-        basis.append(vec)
-    return basis
+    nullity = ncols - len(pivot_cols)
+    if nullity != 1:
+        return nullity, None
+    # By Cramer's rule the free entry set to the last pivot (the determinant
+    # of the pivot block) makes every other entry an integer.
+    vec = [0] * ncols
+    vec[next(c for c in range(ncols) if c not in pivot_cols)] = prev
+    for k in reversed(range(len(pivot_cols))):
+        c, row = pivot_cols[k], mat[k]
+        vec[c] = -sum(row[j] * vec[j] for j in range(c + 1, ncols)) // row[c]
+    return 1, vec
 
 
 def _normalize(vec: list, order: int, degree: int) -> list:
-    denom = lcm(*(f.denominator for f in vec))
-    ints = [int(f * denom) for f in vec]
-    content = gcd(*ints)
-    if content:
-        ints = [x // content for x in ints]
+    content = gcd(*vec)
+    ints = [x // content for x in vec]
     coeffs = [ints[j * (degree + 1):(j + 1) * (degree + 1)] for j in range(order + 1)]
     lead = _trim(coeffs[0])
     if lead and lead[-1] < 0:
         coeffs = [[-c for c in p] for p in coeffs]
     return coeffs
+
+
+def _rows(terms: TermTable, order: int, degree: int, holdout: int) -> list:
+    """The fit window: one row per n, sum_j sum_e c_{j,e} n^e t(n-j) = 0."""
+    return [
+        [n ** e * terms[n - j] for j in range(order + 1) for e in range(degree + 1)]
+        for n in range(terms.offset + order, terms.last + 1 - holdout)
+    ]
 
 
 def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
@@ -162,22 +178,12 @@ def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
     if all(v == 0 for v in terms.values):
         raise ValueError("degenerate input: all terms are zero")
 
-    ncols = (order + 1) * (degree + 1)
-    rows = []
-    for n in range(terms.offset + order, terms.last + 1 - holdout):
-        rows.append(
-            [
-                Fraction(n ** e * terms[n - j])
-                for j in range(order + 1)
-                for e in range(degree + 1)
-            ]
-        )
-    basis = _nullspace(rows, ncols)
-    if not basis:
+    nullity, vec = _kernel(_rows(terms, order, degree, holdout), (order + 1) * (degree + 1))
+    if nullity == 0:
         return None
-    if len(basis) > 1:
-        raise UnderdeterminedError(len(basis))
-    coeffs = _normalize(basis[0], order, degree)
+    if nullity > 1:
+        raise UnderdeterminedError(nullity)
+    coeffs = _normalize(vec, order, degree)
     if not _trim(coeffs[0]):
         return None  # p_0 vanished: not a usable operator
     op = RecurrenceOperator(coeffs)

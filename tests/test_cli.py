@@ -136,7 +136,46 @@ def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     rc, out, _ = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "signed",
                      "--n", "6", "--engine", "navarrete")
     assert rc == 0
-    assert (tmp_path / "envcache" / "r1_s1_signed_navarrete.bfile").read_text() == out
+    cached = (tmp_path / "envcache" / "r1_s1_signed_navarrete.bfile").read_text()
+    assert cached.startswith(out) and cached[len(out):].startswith("# 6 sha256 ")
+
+
+def test_edited_cache_line_is_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "6",
+            "--engine", "riordan", "--cache-dir", str(cache)]
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0 and out == "1 1\n2 0\n3 0\n4 2\n5 14\n6 90\n"
+    path = cache / "r1_s1_absolute_riordan.bfile"
+    whole = path.read_text()
+    assert whole.startswith(out)
+    path.write_text(whole.replace("3 0\n", "3 7\n"))
+    rc, again, _ = run(capsys, *args)
+    assert rc == 0 and again == out
+    assert path.read_text() == whole
+
+
+def test_old_format_cache_is_recomputed_and_rewritten(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "r1_s1_absolute_riordan.bfile"
+    path.write_text("1 1\n2 0\n3 0\n4 2\n5 14\n6 91\n")  # no trailer, wrong tail
+    args = ["compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "6",
+            "--engine", "riordan", "--cache-dir", str(cache)]
+    rc, out, _ = run(capsys, *args)
+    assert rc == 0 and out.endswith("6 90\n")
+    rewritten = path.read_text()
+    assert rewritten.startswith(out) and rewritten.count("\n") == 7
+    assert rewritten.splitlines()[-1].startswith("# 6 sha256 ")
+
+
+def test_warm_cache_does_not_serve_n_below_one(tmp_path, capsys):
+    base = ["compute", "--r", "1", "--s", "2", "--mode", "abs", "--engine", "r1fast",
+            "--cache-dir", str(tmp_path)]
+    assert run(capsys, *base, "--n", "8")[0] == 0
+    for n in ("0", "-3"):
+        rc, out, err = run(capsys, *base, "--n", n)
+        assert rc == 2 and out == "" and "n_max must be >= 1" in err
 
 
 def test_crosscheck_agreement(capsys):

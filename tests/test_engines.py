@@ -1,5 +1,5 @@
 """The engine table: every engine against the oracle inside its scope, a
-loud refusal outside it, and the "auto" choice."""
+loud refusal outside it and for n < 1, and the "auto" choice."""
 
 import pytest
 
@@ -29,6 +29,14 @@ def test_every_engine_in_scope_matches_oracle_and_refuses_outside(spec, capsys):
     for engine, (applies, requirement, _) in ENGINES.items():
         if applies(spec):
             assert compute(spec, 8, engine) == want, engine
+            for n in (0, -3):
+                with pytest.raises(ValueError, match="n_max must be >= 1"):
+                    compute(spec, n, engine)
+                rc = cli.main(["compute", "--r", str(spec.r), "--s", str(spec.s),
+                               "--mode", mode, "--n", str(n), "--engine", engine])
+                captured = capsys.readouterr()
+                assert rc == 2 and captured.out == "", (engine, n)
+                assert "n_max must be >= 1" in captured.err
             continue
         with pytest.raises(ValueError, match=requirement):
             compute(spec, 8, engine)

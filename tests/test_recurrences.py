@@ -1,5 +1,8 @@
 """Exact recurrence fitting, verification, extension, serialization."""
 
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from gapperms import (
     format_operator,
     navarrete_recurrence,
     parse_operator,
+    riordan_sequence,
     verify,
 )
 from gapperms.recurrences import (
@@ -21,6 +25,9 @@ from gapperms.recurrences import (
     InsufficientTermsError,
     SingularLeadingTermError,
     UnderdeterminedError,
+    _kernel,
+    _normalize,
+    _rows,
 )
 
 # t(n) - (n-1) t(n-1) - (n-2) t(n-2) = 0
@@ -161,3 +168,108 @@ def test_term_table_indexing():
         table[6]
     with pytest.raises(ValueError):
         TermTable(1, [])
+
+
+def nullspace_reference(rows, ncols):
+    """Basis of the rational nullspace by Gauss-Jordan elimination over
+    Fraction: the reference for the fraction-free kernel."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot_cols.append(col)
+        r += 1
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row_idx, pc in enumerate(pivot_cols):
+            vec[pc] = -mat[row_idx][fc]
+        basis.append(vec)
+    return basis
+
+
+def primitive(vec):
+    """The integer multiple of vec with content 1 and first nonzero entry > 0."""
+    ints = [int(x * lcm(*(Fraction(y).denominator for y in vec))) for x in vec]
+    ints = [x // gcd(*ints) for x in ints]
+    return [-x for x in ints] if next(x for x in ints if x) < 0 else ints
+
+
+def check_kernel_against_reference(rows, ncols):
+    basis = nullspace_reference(rows, ncols)
+    nullity, vec = _kernel(rows, ncols)
+    assert nullity == len(basis)
+    if nullity != 1:
+        assert vec is None
+        return None
+    # an inexact division anywhere in the elimination would break these
+    assert all(isinstance(x, int) for x in vec)
+    assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    assert primitive(vec) == primitive(basis[0])
+    return basis[0], vec
+
+
+@pytest.mark.parametrize("name, values", [
+    *((f"navarrete{s}", navarrete_recurrence(s, 44)) for s in (1, 2, 3)),
+    ("riordan", riordan_sequence(44)),
+])
+def test_kernel_matches_fraction_reference_on_fit_grid(name, values):
+    terms = TermTable(1, values)
+    for order in range(1, 9):
+        for degree in range(4):
+            ncols = (order + 1) * (degree + 1)
+            if len(values) < ncols + order + 1 + 5:
+                continue  # fit refuses the cell before any elimination
+            found = check_kernel_against_reference(_rows(terms, order, degree, 5), ncols)
+            if found is not None:
+                ref, vec = found
+                assert _normalize(vec, order, degree) == _normalize(primitive(ref), order, degree)
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices of bounded rank, with zero and dependent columns so
+    that elimination skips pivot columns; often wider than tall."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    base = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
+    rows = [[sum(draw(st.integers(-3, 3)) * b[c] for b in base) for c in range(ncols)]
+            for _ in range(nrows)]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
+        for row in rows:
+            row[c] = 0
+    if ncols > 1 and draw(st.booleans()):
+        src, dst = sorted(draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2,
+                                        unique=True)))
+        scale = draw(st.integers(-5, 5))
+        for row in rows:
+            row[dst] = scale * row[src]
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+def test_kernel_matches_fraction_reference_on_random_matrices(matrix):
+    rows, ncols = matrix
+    check_kernel_against_reference(rows, ncols)
+
+
+def test_kernel_edge_cases():
+    assert _kernel([], 1) == (1, [1])
+    assert _kernel([[0, 0]], 2) == (2, None)
+    assert _kernel([[2, 3]], 2) == (1, [-3, 2])
+    assert _kernel([[0, 5], [0, 7]], 2) == (1, [5, 0])  # first column never pivots
+    assert _kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
