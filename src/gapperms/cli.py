@@ -46,7 +46,7 @@ def _parse_bfile(lines, where: str) -> recurrences.TermTable:
     offset = None
     values = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 2:

@@ -3,14 +3,15 @@
 Navarrete's alternating sum and its second-order recurrence cover the
 signed constraint for any value gap s; Riordan's fourth-order recurrence
 and Robbins' double sum cover the classic count of permutations without
-rising or falling successions (OEIS A002464); and a run-profile summation
+rising or falling successions (OEIS A002464); and a tile-weight summation
 covers both modes for every s in polynomial time.
 """
 
 from math import comb, factorial
+from operator import mul
 
 from .specs import ABSOLUTE, check_mode
-from .tilings import _profile_counts
+from .tilings import _class_sizes, _interval_weights
 
 
 def navarrete_sum(s: int, n: int) -> int:
@@ -79,27 +80,40 @@ def robbins(n: int) -> int:
     return total
 
 
+def _convolve(p, q) -> list:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
 def fast_r1(s: int, mode: str, n_max: int) -> list:
     """Adjacent-entries counts for value gap s, both modes, n = 1..n_max.
 
     For r = 1 the chosen forbidden differences chain into value runs that
-    occupy consecutive positions, so a gap-s run profile of the value board
-    determines everything: with g(m, c) tilings into m tiles (c of them
-    runs), each tiling contributes (-1)^(n-m) m! block arrangements, times
-    2^c run directions in absolute mode.  Polynomial time in n.
+    occupy consecutive positions.  A run is a tile of a gap-s tiling of the
+    value board {1..n}, and m tiles can be laid out in m! orders, so a
+    tiling matters only through its tile count m.  The residue classes of
+    {1..n} mod s are intervals of lengths L, tiled independently, so
+
+        a(n) = sum_m m! * P[m],   P = convolution over the classes of w_L,
+
+    with w_L = tilings._interval_weights(L, absolute): the signed count of
+    tilings of an interval into m tiles, times 2^c for the c runs of two
+    or more values in absolute mode.  Polynomial time in n.
     """
     check_mode(mode)
+    if s < 1:
+        raise ValueError("s must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     fact = [factorial(k) for k in range(n_max + 1)]
     absolute = mode == ABSOLUTE
     out = []
     for n in range(1, n_max + 1):
-        total = 0
-        for (m, c), g in _profile_counts(s, n).items():
-            term = g * fact[m]
-            if absolute:
-                term <<= c
-            total += term if (n - m) % 2 == 0 else -term
-        out.append(total)
+        poly = [1]
+        for size in _class_sizes(s, n):
+            poly = _convolve(poly, _interval_weights(size, absolute))
+        out.append(sum(map(mul, poly, fact)))
     return out

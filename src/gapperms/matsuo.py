@@ -12,26 +12,36 @@ rin(n, a, b, mode) counts permutations of {1..n} in which pi[i+1] - pi[i]
 rule is waived at position link a and at the value pair {b, b+1}.  It runs
 the inclusion-exclusion over chosen adjacent links directly: chosen links
 chain into monotone value runs, so a choice is a tiling of the value line
-{1..n} into intervals plus a left-to-right ordering of the tiles, where
+{1..n} into intervals plus a left-to-right ordering of the tiles.  No tile
+may span the cut after value b (that link is waived, hence never chosen),
+and some prefix of the ordering must total exactly a (no chosen link sits
+at position a).  So each tile falls in one of four groups, by value side
+of the cut at b and position side of a, with total lengths
 
-  * a tile of size L carries sign (-1)^(L-1), doubled for L >= 2 in
-    absolute mode (the run may ascend or descend);
-  * no tile may contain both b and b+1 (that internal link is waived,
-    hence never chosen);
-  * some prefix of the ordering must total exactly a, so that no chosen
-    link sits at position a;
-  * orderings of the tiles before/after the position-a boundary contribute
-    j! * k!.
+    t (values <= b, positions <= a),      b - t (values <= b, after a),
+    a - t (values > b, positions <= a),   n - a - b + t (values > b, after a).
 
-The dynamic program scans the value line once, tracking (length, count) of
-the before-boundary group and the count of the after-boundary group, with
-alternating prefix accumulators absorbing the sum over tile lengths.  Cost
-is O(n^4) per term with small constants.
+Each group is an interval tiling weighted by tilings._interval_weights
+w_L[j] (sign (-1)^(L-j), and 2^c for the c runs of two or more values in
+absolute mode).  With j11, j12, j21, j22 tiles in the four groups, the
+tiles on each value side interleave in C(j11+j12, j11) and
+C(j21+j22, j21) ways, and the tiles on each position side are ordered in
+(j11+j21)! and (j12+j22)! ways.  Summing out j12 and j21,
+
+    rin = sum_{t=max(0,a+b-n)}^{min(a,b)} sum_{i,k}
+              w_t[i] * w_{n-a-b+t}[k] * L(w_{b-t})[i][k] * L(w_{a-t})[k][i],
+
+    L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!.
+
+Cost is O(n^4) big-integer products per term.
 """
 
 from dataclasses import dataclass
+from math import comb, factorial
+from operator import mul
 
 from .specs import ABSOLUTE, check_mode
+from .tilings import _interval_weights
 
 
 @dataclass(frozen=True)
@@ -54,12 +64,28 @@ def matsuo_map(n: int) -> MatsuoMap:
     return MatsuoMap(n, tuple(image))
 
 
+def _link(w, rows: int, cols: int, fact: list) -> list:
+    """L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)! for i < rows, k < cols."""
+    out = []
+    for i in range(rows):
+        u = [comb(i + j, i) * wj for j, wj in enumerate(w)]
+        out.append([sum(map(mul, u, fact[k:k + len(w)])) for k in range(cols)])
+    return out
+
+
 def rin(n: int, a: int, b: int, mode: str) -> int:
     """Count permutations avoiding adjacent differences of 1 (signed or
     absolute) with the rule waived at position link a and value pair {b, b+1}.
 
     Equals oracle.count_with_exceptions on ({a}, {b}) with the default
-    endpoint rule for the mode.
+    endpoint rule for the mode.  Computed as
+
+        sum_{t=max(0,a+b-n)}^{min(a,b)} sum_{i,k}
+            w_t[i] * w_{n-a-b+t}[k] * L(w_{b-t})[i][k] * L(w_{a-t})[k][i]
+
+    over the four tile groups of the module docstring, where w_L is
+    tilings._interval_weights(L, absolute) and
+    L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!.
     """
     check_mode(mode)
     if not 1 <= a <= n - 1:
@@ -67,100 +93,16 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     if not 1 <= b <= n:
         raise ValueError(f"b must lie in 1..{n}, got {b}")
     absolute = mode == ABSOLUTE
-
-    # D[sigma][j] is a row over k: signed tile-sequence weight with value
-    # prefix v laid down, sigma/j = length/count of before-boundary tiles,
-    # k = count of after-boundary tiles.  accA/accB are the alternating
-    # prefix sums over the last tile's length for the two append moves; a
-    # tile may not span the cut after value b, so the accumulators restart
-    # at v = b + 1.
-    d_prev = [[[1]]]
-    acc_a_prev = [None]
-    acc_b_prev = [[[0]]]
-
-    for v in range(1, n + 1):
-        smax = min(v, a)
-        smax_prev = min(v - 1, a)
-        reset = v == b + 1
-        d_new, acc_a_new, acc_b_new = [], [], []
-
-        for sigma in range(smax + 1):
-            rowlen = v - sigma + 1
-
-            # Append-to-A accumulator, targeting sigma; rows for j' = j - 1.
-            if sigma == 0:
-                acc_a_new.append(None)
-                append_a = None
-            else:
-                src_table = d_prev[sigma - 1]
-                prev_table = acc_a_prev[sigma - 1] if sigma - 1 < len(acc_a_prev) else None
-                acc_rows, append_a = [], []
-                for jp in range(sigma):
-                    d_row = src_table[jp] if jp < len(src_table) else [0] * rowlen
-                    if reset:
-                        acc = list(d_row)
-                    else:
-                        p_row = (
-                            prev_table[jp]
-                            if prev_table is not None and jp < len(prev_table)
-                            else None
-                        )
-                        if p_row is None:
-                            acc = list(d_row)
-                        else:
-                            acc = [dd - pp for dd, pp in zip(d_row, p_row)]
-                    acc_rows.append(acc)
-                    if absolute:
-                        append_a.append([2 * aa - dd for aa, dd in zip(acc, d_row)])
-                    else:
-                        append_a.append(acc)
-                acc_a_new.append(acc_rows)
-
-            # Append-to-B accumulator, targeting sigma; rows for j.
-            src_table = d_prev[sigma] if sigma <= smax_prev else None
-            prev_table = acc_b_prev[sigma] if sigma < len(acc_b_prev) else None
-            acc_rows, append_b = [], []
-            for j in range(sigma + 1):
-                if src_table is not None and j < len(src_table):
-                    d_row = src_table[j] + [0]  # k = v - sigma unreachable at v-1
-                else:
-                    d_row = [0] * rowlen
-                if reset:
-                    acc = list(d_row)
-                else:
-                    p_row = (
-                        prev_table[j] + [0]
-                        if prev_table is not None and j < len(prev_table)
-                        else None
-                    )
-                    if p_row is None:
-                        acc = list(d_row)
-                    else:
-                        acc = [dd - pp for dd, pp in zip(d_row, p_row)]
-                acc_rows.append(acc)
-                if absolute:
-                    append_b.append([2 * aa - dd for aa, dd in zip(acc, d_row)])
-                else:
-                    append_b.append(acc)
-            acc_b_new.append(acc_rows)
-
-            # New layer: j-th A-tile contributes factor j, k-th B-tile factor k.
-            d_sigma = []
-            for j in range(sigma + 1):
-                row_a = append_a[j - 1] if j >= 1 and append_a is not None else None
-                row_b = append_b[j]
-                row = [0] * rowlen
-                if row_a is not None:
-                    for k in range(rowlen):
-                        row[k] = j * row_a[k]
-                for k in range(1, rowlen):
-                    row[k] += k * row_b[k - 1]
-                d_sigma.append(row)
-            d_new.append(d_sigma)
-
-        d_prev, acc_a_prev, acc_b_prev = d_new, acc_a_new, acc_b_new
-
-    return sum(sum(row) for row in d_prev[a])
+    fact = [factorial(k) for k in range(n + 1)]
+    total = 0
+    for t in range(max(0, a + b - n), min(a, b) + 1):
+        w11 = _interval_weights(t, absolute)
+        w22 = _interval_weights(n - a - b + t, absolute)
+        l12 = _link(_interval_weights(b - t, absolute), len(w11), len(w22), fact)
+        l21 = _link(_interval_weights(a - t, absolute), len(w22), len(w11), fact)
+        total += sum(x * sum(y * l12[i][k] * l21[k][i] for k, y in enumerate(w22))
+                     for i, x in enumerate(w11))
+    return total
 
 
 def fast22(n: int, mode: str) -> int:

@@ -181,18 +181,21 @@ def _interval_profile(length: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _profile_counts(gap: int, n: int) -> dict:
-    counts = {(0, 0): 1}
-    for size in _class_sizes(gap, n):
-        step = _interval_profile(size)
-        new = {}
-        for (m1, c1), v1 in counts.items():
-            for (m2, c2), v2 in step.items():
-                key = (m1 + m2, c1 + c2)
-                new[key] = new.get(key, 0) + v1 * v2
-        counts = new
-    return counts
+@lru_cache(maxsize=512)
+def _interval_weights(length: int, absolute: bool) -> tuple:
+    """Signed tile weights of an interval board, indexed by tile count m:
+
+        w[m] = (-1)^(length-m) * sum_c g(m, c) * (2^c if absolute else 1)
+
+    with g(m, c) from _interval_profile, so w_0 = (1,).  A tile of size L
+    carries sign (-1)^(L-1), doubled for L >= 2 in absolute mode (a run may
+    ascend or descend), and w[m] sums the tilings into m tiles.  Disjoint
+    boards combine by convolution over m.
+    """
+    w = [0] * (length + 1)
+    for (m, c), g in _interval_profile(length).items():
+        w[m] += g << c if absolute else g
+    return tuple(x if (length - m) % 2 == 0 else -x for m, x in enumerate(w))
 
 
 def run_profile(s: int, n: int) -> RunProfile:
@@ -206,7 +209,16 @@ def run_profile(s: int, n: int) -> RunProfile:
         raise ValueError("gap must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return RunProfile(s, n, dict(_profile_counts(s, n)))
+    counts = {(0, 0): 1}
+    for size in _class_sizes(s, n):
+        step = _interval_profile(size)
+        new = {}
+        for (m1, c1), v1 in counts.items():
+            for (m2, c2), v2 in step.items():
+                key = (m1 + m2, c1 + c2)
+                new[key] = new.get(key, 0) + v1 * v2
+        counts = new
+    return RunProfile(s, n, counts)
 
 
 def format_polynomial(poly: TilingPolynomial) -> str:

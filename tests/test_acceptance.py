@@ -68,7 +68,6 @@ def criterion(number, description):
 def _clear_tiling_caches():
     tilings_mod._interval_terms.cache_clear()
     tilings_mod._tiling_terms.cache_clear()
-    tilings_mod._profile_counts.cache_clear()
 
 
 def test_criterion_1_a44_fixture(capsys):

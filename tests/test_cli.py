@@ -238,6 +238,25 @@ def test_fit_verify_extend_flow(tmp_path, capsys):
     assert lines[0] == "1 1"
 
 
+def test_fit_reads_comment_lines_and_cache_files(tmp_path, capsys):
+    plain = tmp_path / "a11.txt"
+    cache = tmp_path / "cache"
+    compute = ["compute", "--r", "1", "--s", "1", "--mode", "signed", "--n", "20",
+               "--engine", "navarrete"]
+    assert run(capsys, *compute, "--bfile", str(plain))[0] == 0
+    assert run(capsys, *compute, "--cache-dir", str(cache))[0] == 0
+    commented = tmp_path / "b-file.txt"
+    commented.write_text("# A002464\n#\n" + plain.read_text())
+    cached = cache / "r1_s1_signed_navarrete.bfile"
+    assert cached.read_text().splitlines()[-1].startswith("# 20 sha256 ")
+    for path in (commented, cached):
+        opfile = tmp_path / f"{path.name}.op"
+        rc, _, err = run(capsys, "fit", "--bfile", str(path), "--order", "2",
+                         "--degree", "1", "--opfile", str(opfile))
+        assert rc == 0, err
+        assert opfile.read_text() == "2 1 1\n1\n1 -1\n2 -1\n"
+
+
 def test_fit_refusal_names_bound(tmp_path, capsys):
     bfile = tmp_path / "short.txt"
     bfile.write_text("".join(f"{i} {i}\n" for i in range(1, 6)))

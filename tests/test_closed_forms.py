@@ -1,7 +1,9 @@
-"""The r = 1 specials: alternating sums, recurrences, run-profile summation."""
+"""The r = 1 specials: alternating sums, recurrences, tile-weight summation."""
 
 import time
 from math import factorial
+
+import pytest
 
 from gapperms import (
     ABSOLUTE,
@@ -79,6 +81,9 @@ def test_fast_r1_examples():
     assert fast_r1(2, ABSOLUTE, 3) == [1, 2, 2]  # values 1,3 never adjacent
     assert fast_r1(1, ABSOLUTE, 4)[-1] == 2
     assert fast_r1(1, SIGNED, 4)[-1] == navarrete_sum(1, 4)
+    assert fast_r1(5, ABSOLUTE, 4) == [1, 2, 6, 24]  # s > n: nothing is forbidden
+    with pytest.raises(ValueError):
+        fast_r1(0, ABSOLUTE, 3)
 
 
 def test_absolute_engines_agree_to_40():

@@ -2,9 +2,12 @@
 loud refusal outside it and for n < 1, and the "auto" choice."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, cli, compute
 from gapperms.engines import ENGINES, resolve
+from gapperms.oracle import brute_sequence
 
 SPECS = [SequenceSpec(r, s, mode) for r in (1, 2, 3) for s in (1, 2, 3)
          for mode in (SIGNED, ABSOLUTE)]
@@ -47,6 +50,17 @@ def test_every_engine_in_scope_matches_oracle_and_refuses_outside(spec, capsys):
         assert f"{engine} requires {requirement}" in captured.err
     assert resolve(spec, "auto") == expected_auto(spec)
     assert compute(spec, 8) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 5), s=st.integers(1, 5),
+       mode=st.sampled_from([SIGNED, ABSOLUTE]), n=st.integers(1, 8))
+def test_engines_in_scope_agree_with_oracle_on_random_specs(r, s, mode, n):
+    spec = SequenceSpec(r, s, mode)
+    want = brute_sequence(spec, n)
+    for engine, (applies, _, _) in ENGINES.items():
+        if applies(spec):
+            assert compute(spec, n, engine) == want, engine
 
 
 def test_unknown_engine_is_refused():

@@ -1,6 +1,8 @@
 """Interleaving bijection, the RIN engine, and the gap-2 diagonal."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapperms import (
     ABSOLUTE,
@@ -81,6 +83,15 @@ def test_rin_matches_split_board_sum_beyond_oracle_reach():
         (21, 20, 1, SIGNED),
     ]:
         assert rin(n, a, b, mode) == rin_reference(n, a, b, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 16),
+       mode=st.sampled_from([SIGNED, ABSOLUTE]))
+def test_rin_matches_split_board_sum_on_random_waivers(data, n, mode):
+    a = data.draw(st.integers(1, n - 1), label="a")
+    b = data.draw(st.integers(1, n), label="b")
+    assert rin(n, a, b, mode) == rin_reference(n, a, b, mode)
 
 
 def test_rin_never_below_unwaived_count():

@@ -11,7 +11,7 @@ from gapperms import (
     tiling_polynomial,
     tiling_polynomial_direct,
 )
-from gapperms.tilings import partition_weight, trim
+from gapperms.tilings import _interval_terms, _interval_weights, partition_weight, trim
 
 F35 = {(5,): 1, (3, 1): 2, (1, 2): 1}
 F37 = {
@@ -133,6 +133,16 @@ def test_run_profile_invariants():
                 assert v > 0
                 if c == 0:
                     assert m == n
+
+
+def test_interval_weights_aggregate_compositions():
+    for length in range(0, 13):
+        for absolute in (False, True):
+            want = [0] * (length + 1)
+            for mono, count in _interval_terms(length).items():
+                m, runs = sum(mono), sum(mono[1:])
+                want[m] += (-1) ** (length - m) * count * (2 ** runs if absolute else 1)
+            assert list(_interval_weights(length, absolute)) == want, (length, absolute)
 
 
 def test_format_polynomial_golden():
