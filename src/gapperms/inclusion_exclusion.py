@@ -13,34 +13,43 @@ match same-size tiles between the two boards, and the power of two picks a
 direction (ascending or descending) for each non-singleton value run.
 
 Exact integers throughout; cost is driven by the number of partitions in
-the common support of the two enumerators.
+the common support of the two enumerators.  The enumerators arrive with
+packed int keys (see tilings): the support is probed on the ints, and only
+the common monomials are decoded, field by field from a_1 up to the largest
+part, each a_i contributing a_i!, its share of the sign and its power of two.
 """
 
 from math import factorial
 
 from .specs import ABSOLUTE, SequenceSpec
-from .tilings import _tiling_terms
+from .tilings import _tiling_terms, _widths
 
 
 def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
-    """The signed sum above over the monomials common to two tiling
+    """The signed sum above over the monomials common to two packed tiling
     enumerators pa and pb of boards with n cells each."""
     if len(pb) < len(pa):
         pa, pb = pb, pa  # enumerate the sparser support, probe the other
-    fact = [factorial(k) for k in range(n + 1)]
     absolute = mode == ABSOLUTE
+    fields = []  # per part size i: field width, mask, weight[a_i]
+    for i, width in enumerate(_widths(n), start=1):
+        # a_i! [* 2^a_i for runs], signed: n - sum a_i = sum (i - 1) a_i
+        weight = [factorial(a) << (a if absolute and i > 1 else 0) for a in range(n // i + 1)]
+        if i % 2 == 0:
+            weight[1::2] = [-w for w in weight[1::2]]
+        fields.append((width, (1 << width) - 1, weight))
     total = 0
-    for mono, ca in pa.items():
-        cb = pb.get(mono)
+    for key, ca in pa.items():
+        cb = pb.get(key)
         if not cb:
             continue
-        m = sum(mono)
         term = ca * cb
-        for a in mono:
-            term *= fact[a]
-        if absolute:
-            term <<= m - (mono[0] if mono else 0)
-        total += term if (n - m) % 2 == 0 else -term
+        for width, mask, weight in fields:
+            if not key:
+                break
+            term *= weight[key & mask]
+            key >>= width
+        total += term
     return total
 
 

@@ -17,6 +17,13 @@ is an interval, so the enumerator factors into a product of r interval
 enumerators.  That factorization is the production path; a direct
 position-by-position scan of the board is kept as an independent
 cross-check.
+
+Internally a monomial of a board with n cells is one int, `pack(freqs, n)`:
+part size i owns a bit field of width (n // i).bit_length().  Every a_i of a
+monomial on that board is at most n // i, so multiplying two monomials whose
+weights sum to at most n is integer addition that never carries.  The
+cached products (_tiling_terms) are keyed this way; tiling_polynomial,
+coefficient and format_polynomial keep tuple keys at the API boundary.
 """
 
 from dataclasses import dataclass
@@ -81,14 +88,40 @@ def _interval_terms(length: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=512)
+def _widths(n: int) -> tuple:
+    """Bit-field widths of part sizes 1..n in the packed layout of board n."""
+    return tuple((n // i).bit_length() for i in range(1, n + 1))
+
+
+def pack(freqs, n: int) -> int:
+    """Packed key of the frequency vector `freqs` on a board with n cells.
+    Each a_i must lie in 0..n // i."""
+    key = shift = 0
+    for a, width in zip(freqs, _widths(n)):
+        key |= a << shift
+        shift += width
+    return key
+
+
+def unpack(key: int, n: int) -> tuple:
+    """Frequency vector of a packed key of board n, trailing zeros trimmed."""
+    freqs = []
+    for width in _widths(n):
+        if not key:
+            break
+        freqs.append(key & ((1 << width) - 1))
+        key >>= width
+    return tuple(freqs)  # trimmed: the last field read held the top set bit
+
+
 def _multiply(p: dict, q: dict) -> dict:
+    """Product of two enumerators keyed by packed ints of one layout."""
     out = {}
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            # the longer vector's tail is already nonzero, so no re-trim needed
-            head = tuple(a + b for a, b in zip(ma, mb))
-            key = head + (ma[len(mb):] if len(ma) > len(mb) else mb[len(ma):])
-            out[key] = out.get(key, 0) + ca * cb
+    for ka, ca in p.items():
+        for kb, cb in q.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + ca * cb
     return out
 
 
@@ -99,10 +132,10 @@ def _class_sizes(gap: int, n: int) -> list:
 
 @lru_cache(maxsize=None)
 def _tiling_terms(gap: int, n: int) -> dict:
-    """Shared, cached term dict for tiling_polynomial. Treat as read-only."""
-    poly = {(): 1}
+    """Shared, cached packed term dict of board n. Treat as read-only."""
+    poly = {0: 1}
     for size in _class_sizes(gap, n):
-        poly = _multiply(poly, _interval_terms(size))
+        poly = _multiply(poly, {pack(m, n): c for m, c in _interval_terms(size).items()})
     return poly
 
 
@@ -112,7 +145,7 @@ def tiling_polynomial(r: int, n: int) -> TilingPolynomial:
         raise ValueError("gap must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return TilingPolynomial(r, n, dict(_tiling_terms(r, n)))
+    return TilingPolynomial(r, n, {unpack(k, n): c for k, c in _tiling_terms(r, n).items()})
 
 
 def tiling_polynomial_direct(r: int, n: int) -> TilingPolynomial:
@@ -161,9 +194,9 @@ def coefficient(r: int, n: int, freqs) -> int:
     Zero when the monomial never occurs; `freqs` must be a partition of n.
     """
     key = trim(freqs)
-    if partition_weight(key) != n:
+    if partition_weight(key) != n or min(key, default=0) < 0:
         raise ValueError(f"{tuple(freqs)} is not a partition of {n}")
-    return _tiling_terms(r, n).get(key, 0)
+    return _tiling_terms(r, n).get(pack(key, n), 0)
 
 
 def _interval_profile(length: int) -> dict:
@@ -209,16 +242,13 @@ def run_profile(s: int, n: int) -> RunProfile:
         raise ValueError("gap must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    counts = {(0, 0): 1}
+    width = n.bit_length()  # (m, c) packs as m | c << width; c <= m <= n
+    counts = {0: 1}
     for size in _class_sizes(s, n):
-        step = _interval_profile(size)
-        new = {}
-        for (m1, c1), v1 in counts.items():
-            for (m2, c2), v2 in step.items():
-                key = (m1 + m2, c1 + c2)
-                new[key] = new.get(key, 0) + v1 * v2
-        counts = new
-    return RunProfile(s, n, counts)
+        counts = _multiply(counts, {m | c << width: v
+                                    for (m, c), v in _interval_profile(size).items()})
+    mask = (1 << width) - 1
+    return RunProfile(s, n, {(k & mask, k >> width): v for k, v in counts.items()})
 
 
 def format_polynomial(poly: TilingPolynomial) -> str:

@@ -17,16 +17,20 @@ from gapperms import (
     rin,
 )
 from gapperms.inclusion_exclusion import partition_sum
-from gapperms.tilings import _interval_terms, _multiply
+from gapperms.tilings import _interval_terms, _multiply, pack
 
 
 def rin_reference(n, a, b, mode):
     """Independent route: the partition-sum kernel over split boards.
     Position tilings may not span the link at a (intervals of [1..a] then
     [a+1..n]); value tilings must cut after b."""
-    pos = _multiply(_interval_terms(a), _interval_terms(n - a))
-    val = _multiply(_interval_terms(b), _interval_terms(n - b))
-    return partition_sum(pos, val, n, mode)
+
+    def split_board(cut):
+        left, right = ({pack(m, n): c for m, c in _interval_terms(L).items()}
+                       for L in (cut, n - cut))
+        return _multiply(left, right)
+
+    return partition_sum(split_board(a), split_board(b), n, mode)
 
 
 def test_map_examples():

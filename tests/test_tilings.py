@@ -11,7 +11,15 @@ from gapperms import (
     tiling_polynomial,
     tiling_polynomial_direct,
 )
-from gapperms.tilings import _interval_terms, _interval_weights, partition_weight, trim
+from gapperms.tilings import (
+    _interval_terms,
+    _interval_weights,
+    _widths,
+    pack,
+    partition_weight,
+    trim,
+    unpack,
+)
 
 F35 = {(5,): 1, (3, 1): 2, (1, 2): 1}
 F37 = {
@@ -105,6 +113,53 @@ def test_coefficient_rejects_non_partition():
         coefficient(3, 5, (2, 2))  # weighs 6, not 5
     with pytest.raises(ValueError):
         coefficient(2, 6, (1, 1))  # weighs 3, not 6
+
+
+def test_coefficient_at_extreme_fields():
+    for r in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 7, 8, 9, 15, 16):
+            terms = tiling_polynomial(r, n).terms
+            singletons, whole = (n,), (0,) * (n - 1) + (1,)
+            assert coefficient(r, n, singletons) == terms.get(singletons, 0) == 1
+            assert coefficient(r, n, whole) == terms.get(whole, 0), (r, n)
+            with pytest.raises(ValueError):
+                coefficient(r, n, (n, 1))
+    # (3, -1) weighs 1, and a negative a_2 would borrow a_1's overflow
+    with pytest.raises(ValueError):
+        coefficient(1, 1, (3, -1))
+
+
+def monomials_within(data, n, label):
+    """A frequency vector of weight <= n, drawn as a list of part sizes."""
+    parts, weight = [], 0
+    for size in data.draw(st.lists(st.integers(1, max(n, 1)), max_size=n), label=label):
+        if weight + size <= n:
+            parts.append(size)
+            weight += size
+    return profile_of(parts, n), weight
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 80))
+def test_pack_round_trip_and_addition(data, n):
+    a, wa = monomials_within(data, n, "a")
+    b, _ = monomials_within(data, n - wa, "b")
+    assert unpack(pack(a, n), n) == a
+    total = [x + y for x, y in zip(a + (0,) * n, b + (0,) * n)]
+    assert unpack(pack(a, n) + pack(b, n), n) == trim(total)
+
+
+@pytest.mark.parametrize("n", [2 ** k for k in range(7)] + [2 ** k - 1 for k in range(1, 7)])
+def test_pack_fields_at_powers_of_two(n):
+    widths = _widths(n)
+    ones = pack((n,), n)
+    assert unpack(ones, n) == (n,)
+    assert ones < 1 << widths[0]  # a_1 = n fits its own field
+    if n == 2 ** widths[0] - 1:
+        assert ones == (1 << widths[0]) - 1  # and fills it
+    whole = (0,) * (n - 1) + (1,)
+    assert pack(whole, n) == 1 << sum(widths[:-1])
+    assert unpack(pack(whole, n), n) == whole
 
 
 def test_run_profile_examples():
