@@ -146,11 +146,12 @@ def cmd_crosscheck(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
     names = _engine_list(args.engines)
     if len(names) < 2:
-        print("error: crosscheck needs at least two engines", file=sys.stderr)
-        return 2
-    for name in names:
+        raise ValueError("crosscheck needs at least two engines")
+    for i, name in enumerate(names):
         if name not in engines.ENGINES:  # "auto" too: it would repeat a concrete engine
             raise ValueError(f"unknown engine {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"engine {name!r} is listed twice")
         engines.resolve(spec, name)
     results = {e: engines.compute(spec, args.n, e) for e in names}
     reference = names[0]
@@ -177,9 +178,6 @@ def cmd_fit(args) -> int:
     table = read_bfile(args.bfile)
     try:
         op = recurrences.fit(table, args.order, args.degree, args.holdout)
-    except recurrences.InsufficientTermsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except recurrences.UnderdeterminedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,10 +8,9 @@ covers both modes for every s in polynomial time.
 """
 
 from math import comb, factorial
-from operator import mul
 
 from .specs import ABSOLUTE, check_mode
-from .tilings import _class_sizes, _interval_weights
+from .tilings import _class_sizes, _interval_weights, _multiply
 
 
 def navarrete_sum(s: int, n: int) -> int:
@@ -80,14 +79,6 @@ def robbins(n: int) -> int:
     return total
 
 
-def _convolve(p, q) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
 def fast_r1(s: int, mode: str, n_max: int) -> list:
     """Adjacent-entries counts for value gap s, both modes, n = 1..n_max.
 
@@ -97,11 +88,11 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
     tiling matters only through its tile count m.  The residue classes of
     {1..n} mod s are intervals of lengths L, tiled independently, so
 
-        a(n) = sum_m m! * P[m],   P = convolution over the classes of w_L,
+        a(n) = sum_m m! * P[m],   P = tilings._multiply product of the w_L,
 
-    with w_L = tilings._interval_weights(L, absolute): the signed count of
-    tilings of an interval into m tiles, times 2^c for the c runs of two
-    or more values in absolute mode.  Polynomial time in n.
+    with w_L = tilings._interval_weights(L, absolute), keyed by m: the signed
+    count of tilings of an interval into m tiles, times 2^c for the c runs
+    of two or more values in absolute mode.  Polynomial time in n.
     """
     check_mode(mode)
     if s < 1:
@@ -112,8 +103,8 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
     absolute = mode == ABSOLUTE
     out = []
     for n in range(1, n_max + 1):
-        poly = [1]
+        poly = {0: 1}
         for size in _class_sizes(s, n):
-            poly = _convolve(poly, _interval_weights(size, absolute))
-        out.append(sum(map(mul, poly, fact)))
+            poly = _multiply(poly, dict(enumerate(_interval_weights(size, absolute))))
+        out.append(sum(fact[m] * c for m, c in poly.items()))
     return out

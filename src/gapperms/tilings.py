@@ -130,6 +130,13 @@ def _class_sizes(gap: int, n: int) -> list:
     return [(n - j) // gap + 1 for j in range(1, min(gap, n) + 1)]
 
 
+def _check_board(gap: int, n: int):
+    if gap < 1:
+        raise ValueError("gap must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 @lru_cache(maxsize=None)
 def _tiling_terms(gap: int, n: int) -> dict:
     """Shared, cached packed term dict of board n. Treat as read-only."""
@@ -141,10 +148,7 @@ def _tiling_terms(gap: int, n: int) -> dict:
 
 def tiling_polynomial(r: int, n: int) -> TilingPolynomial:
     """Weight enumerator of gap-r tilings of {1..n} (residue factorization)."""
-    if r < 1:
-        raise ValueError("gap must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_board(r, n)
     return TilingPolynomial(r, n, {unpack(k, n): c for k, c in _tiling_terms(r, n).items()})
 
 
@@ -156,10 +160,7 @@ def tiling_polynomial_direct(r: int, n: int) -> TilingPolynomial:
     its weight) and a new one starts.  Exponentially many states in r, so
     this is the cross-check, not the production path.
     """
-    if r < 1:
-        raise ValueError("gap must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_board(r, n)
     states = {(0,) * r: {(): 1}}
     for p in range(1, n + 1):
         cls = (p - 1) % r
@@ -193,6 +194,7 @@ def coefficient(r: int, n: int, freqs) -> int:
 
     Zero when the monomial never occurs; `freqs` must be a partition of n.
     """
+    _check_board(r, n)
     key = trim(freqs)
     if partition_weight(key) != n or min(key, default=0) < 0:
         raise ValueError(f"{tuple(freqs)} is not a partition of {n}")
@@ -238,10 +240,7 @@ def run_profile(s: int, n: int) -> RunProfile:
     (sum a_i, sum_{i>=2} a_i), but is computed directly from per-class
     binomials so it stays cheap for large n.
     """
-    if s < 1:
-        raise ValueError("gap must be >= 1")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _check_board(s, n)
     width = n.bit_length()  # (m, c) packs as m | c << width; c <= m <= n
     counts = {0: 1}
     for size in _class_sizes(s, n):

@@ -27,7 +27,7 @@ def test_compute_riordan(capsys):
 
 
 def test_compute_inapplicable_engine(capsys):
-    rc, out, err = run(capsys, "compute", "--r", "2", "--s", "1", "--mode", "signed",
+    rc, out, err = run(capsys, "compute", "--r", "2", "--s", "3", "--mode", "signed",
                        "--n", "5", "--engine", "navarrete")
     assert rc != 0
     assert out == ""
@@ -50,6 +50,8 @@ def test_auto_matches_concrete_engines(capsys):
         ("1", "1", "signed", "navarrete"),
         ("1", "1", "abs", "riordan"),
         ("1", "2", "abs", "r1fast"),
+        ("3", "1", "signed", "navarrete"),
+        ("3", "1", "abs", "r1fast"),
         ("2", "2", "signed", "matsuo"),
         ("3", "2", "signed", "ie"),
     ]:
@@ -187,6 +189,10 @@ def test_crosscheck_agreement(capsys):
     rc, out, _ = run(capsys, "crosscheck", "--r", "1", "--s", "1", "--mode", "abs",
                      "--n", "8", "--engines", "oracle,ie,riordan,robbins,r1fast")
     assert rc == 0
+    for r, mode, fast in (("3", "abs", "r1fast"), ("4", "signed", "navarrete")):
+        rc, out, _ = run(capsys, "crosscheck", "--r", r, "--s", "1", "--mode", mode,
+                         "--n", "8", "--engines", f"oracle,ie,{fast}")
+        assert rc == 0 and "agree" in out, (r, mode)
 
 
 def test_crosscheck_rejects_inapplicable(capsys):
@@ -194,6 +200,14 @@ def test_crosscheck_rejects_inapplicable(capsys):
                        "--n", "8", "--engines", "oracle,riordan")
     assert rc != 0
     assert "riordan" in err
+
+
+def test_crosscheck_refuses_a_repeated_engine(capsys):
+    rc, out, err = run(capsys, "crosscheck", "--r", "1", "--s", "1", "--mode", "abs",
+                       "--n", "5", "--engines", "riordan,oracle,riordan")
+    assert rc == 2
+    assert out == ""
+    assert "'riordan' is listed twice" in err
 
 
 def test_crosscheck_reports_first_mismatch(capsys, monkeypatch):
@@ -330,4 +344,4 @@ def test_bench_resolves_every_engine_before_timing(capsys):
                        "--n", "8", "--engines", "riordan,navarrete")
     assert rc == 2
     assert out == ""
-    assert "navarrete" in err and "r=1 and signed mode" in err
+    assert "navarrete" in err and "r=1 or s=1, and signed mode" in err

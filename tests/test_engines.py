@@ -1,5 +1,6 @@
-"""The engine table: every engine against the oracle inside its scope, a
-loud refusal outside it and for n < 1, and the "auto" choice."""
+"""The engine table: every engine against the oracle inside its scope (the
+spec or its transpose), a loud refusal outside it and for n < 1, and the
+"auto" choice."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,17 @@ SPECS = [SequenceSpec(r, s, mode) for r in (1, 2, 3) for s in (1, 2, 3)
          for mode in (SIGNED, ABSOLUTE)]
 
 
+def serves(applies, spec):
+    """count(r, s) = count(s, r): inverting a permutation swaps the gaps."""
+    return applies(spec) or applies(SequenceSpec(spec.s, spec.r, spec.mode))
+
+
 def expected_auto(spec):
-    if spec.r == 1 and spec.mode == SIGNED:
+    if 1 in (spec.r, spec.s) and spec.mode == SIGNED:
         return "navarrete"
     if spec.r == 1 and spec.s == 1:
         return "riordan"
-    if spec.r == 1:
+    if 1 in (spec.r, spec.s):
         return "r1fast"
     if spec.r == 2 and spec.s == 2:
         return "matsuo"
@@ -30,7 +36,7 @@ def test_every_engine_in_scope_matches_oracle_and_refuses_outside(spec, capsys):
     want = [brute_count(spec, n) for n in range(1, 9)]
     mode = "abs" if spec.mode == ABSOLUTE else "signed"
     for engine, (applies, requirement, _) in ENGINES.items():
-        if applies(spec):
+        if serves(applies, spec):
             assert compute(spec, 8, engine) == want, engine
             for n in (0, -3):
                 with pytest.raises(ValueError, match="n_max must be >= 1"):
@@ -59,8 +65,14 @@ def test_engines_in_scope_agree_with_oracle_on_random_specs(r, s, mode, n):
     spec = SequenceSpec(r, s, mode)
     want = brute_sequence(spec, n)
     for engine, (applies, _, _) in ENGINES.items():
-        if applies(spec):
+        if serves(applies, spec):
             assert compute(spec, n, engine) == want, engine
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_auto_serves_s_equal_one_through_the_transpose(r):
+    assert resolve(SequenceSpec(r, 1, SIGNED), "auto") == "navarrete"
+    assert resolve(SequenceSpec(r, 1, ABSOLUTE), "auto") == ("riordan" if r == 1 else "r1fast")
 
 
 def test_unknown_engine_is_refused():

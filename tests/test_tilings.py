@@ -14,6 +14,7 @@ from gapperms import (
 from gapperms.tilings import (
     _interval_terms,
     _interval_weights,
+    _tiling_terms,
     _widths,
     pack,
     partition_weight,
@@ -113,6 +114,14 @@ def test_coefficient_rejects_non_partition():
         coefficient(3, 5, (2, 2))  # weighs 6, not 5
     with pytest.raises(ValueError):
         coefficient(2, 6, (1, 1))  # weighs 3, not 6
+
+
+def test_coefficient_rejects_gap_below_one_before_caching():
+    _tiling_terms.cache_clear()
+    for r, n, freqs in ((0, 3, (3,)), (0, 0, ()), (-1, 2, (2,))):
+        with pytest.raises(ValueError, match="gap must be >= 1"):
+            coefficient(r, n, freqs)
+    assert _tiling_terms.cache_info().currsize == 0
 
 
 def test_coefficient_at_extreme_fields():
