@@ -131,7 +131,7 @@ def _engine_list(text: str) -> list:
 def cmd_compute(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
     engine = engines.resolve(spec, args.engine)
-    cache = _cache_path(args.cache_dir, spec, engine) if args.offset == 1 else None
+    cache = _cache_path(args.cache_dir, spec, engine)
     values = _read_cache(cache, args.n) if cache else None
     if values is None:
         values = engines.compute(spec, args.n, engine)

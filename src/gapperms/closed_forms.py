@@ -10,7 +10,7 @@ covers both modes for every s in polynomial time.
 from math import comb, factorial
 
 from .specs import ABSOLUTE, check_mode
-from .tilings import _class_sizes, _interval_weights, _multiply
+from .tilings import _board, _interval_weights
 
 
 def navarrete_sum(s: int, n: int) -> int:
@@ -88,7 +88,7 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
     tiling matters only through its tile count m.  The residue classes of
     {1..n} mod s are intervals of lengths L, tiled independently, so
 
-        a(n) = sum_m m! * P[m],   P = tilings._multiply product of the w_L,
+        a(n) = sum_m m! * P[m],   P = tilings._board product of the w_L,
 
     with w_L = tilings._interval_weights(L, absolute), keyed by m: the signed
     count of tilings of an interval into m tiles, times 2^c for the c runs
@@ -103,8 +103,6 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
     absolute = mode == ABSOLUTE
     out = []
     for n in range(1, n_max + 1):
-        poly = {0: 1}
-        for size in _class_sizes(s, n):
-            poly = _multiply(poly, dict(enumerate(_interval_weights(size, absolute))))
+        poly = _board(s, n, lambda size: dict(enumerate(_interval_weights(size, absolute))))
         out.append(sum(fact[m] * c for m, c in poly.items()))
     return out

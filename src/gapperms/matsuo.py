@@ -77,8 +77,7 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     """Count permutations avoiding adjacent differences of 1 (signed or
     absolute) with the rule waived at position link a and value pair {b, b+1}.
 
-    Equals oracle.count_with_exceptions on ({a}, {b}) with the default
-    endpoint rule for the mode.  Computed as
+    Equals oracle.count_with_exceptions on ({a}, {b}).  Computed as
 
         sum_{t=max(0,a+b-n)}^{min(a,b)} sum_{i,k}
             w_t[i] * w_{n-a-b+t}[k] * L(w_{b-t})[i][k] * L(w_{a-t})[k][i]

@@ -8,7 +8,7 @@ from hanging a test run.
 
 from itertools import permutations
 
-from .specs import ABSOLUTE, SIGNED, ExceptionSpec, SequenceSpec
+from .specs import ABSOLUTE, ExceptionSpec, SequenceSpec
 
 DEFAULT_CAP = 11
 
@@ -91,29 +91,15 @@ def single_violation_at(spec: SequenceSpec, n: int, i: int, cap: int = DEFAULT_C
     return total
 
 
-def count_with_exceptions(ex: ExceptionSpec, endpoint_rule: str = None,
-                          cap: int = DEFAULT_CAP) -> int:
+def count_with_exceptions(ex: ExceptionSpec, cap: int = DEFAULT_CAP) -> int:
     """Permutations of {1..n} obeying the (r=1, s=1) rule except at waived links.
 
-    A link i (between positions i and i+1) is waived when i is in
-    ex.positions, or when the value test against ex.values holds.  The value
-    test is controlled by `endpoint_rule`:
-
-      "left"  waive when pi[i] is in ex.values
-      "pair"  waive when {pi[i], pi[i+1]} is {v, v+1} for some v in ex.values
-      "both"  waive when pi[i] or pi[i+1] is in ex.values
-
-    Signed mode defaults to "left" (which, at an ascending link, is the same
-    as "pair"); absolute mode defaults to "pair".  The parameter exists so
-    the competing conventions stay testable side by side.
+    A violating link i (between positions i and i+1) is waived when i is in
+    ex.positions, or when min(pi[i], pi[i+1]) is in ex.values, i.e. when its
+    value pair is {v, v+1} for some v in ex.values.  In signed mode a
+    violating link ascends, so that is its left value.
     """
     _check_cap(ex.n, cap)
-    if endpoint_rule is None:
-        endpoint_rule = "left" if ex.mode == SIGNED else "pair"
-    if endpoint_rule not in ("left", "pair", "both"):
-        raise ValueError(
-            f"endpoint_rule must be 'left', 'pair' or 'both', got {endpoint_rule!r}"
-        )
     n, mode = ex.n, ex.mode
     positions, values = ex.positions, ex.values
     total = 0
@@ -123,15 +109,7 @@ def count_with_exceptions(ex: ExceptionSpec, endpoint_rule: str = None,
             d = pi[i] - pi[i - 1]
             if d != 1 and not (mode == ABSOLUTE and d == -1):
                 continue
-            if i in positions:
-                continue
-            if endpoint_rule == "left":
-                waived = pi[i - 1] in values
-            elif endpoint_rule == "pair":
-                waived = min(pi[i - 1], pi[i]) in values
-            else:
-                waived = pi[i - 1] in values or pi[i] in values
-            if waived:
+            if i in positions or min(pi[i - 1], pi[i]) in values:
                 continue
             ok = False
             break

@@ -209,6 +209,8 @@ def verify(op: RecurrenceOperator, terms: TermTable):
 def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
     """Terms up to index n_max produced by running the recurrence forward
     from `seeds`.  Division by p_0(n) must be exact at every step."""
+    if n_max < seeds.offset:
+        raise ValueError(f"n_max={n_max} is below the first seed index {seeds.offset}")
     if len(seeds.values) < op.order:
         raise ValueError(f"seeds must cover at least order={op.order} terms")
     values = list(seeds.values)
@@ -226,7 +228,7 @@ def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
                 f"t({n}) is not an integer; operator and seeds are inconsistent"
             )
         values.append(q)
-    return TermTable(seeds.offset, values)
+    return TermTable(seeds.offset, values[:n_max - seeds.offset + 1])
 
 
 def format_operator(op: RecurrenceOperator, offset: int = 1) -> str:

@@ -34,9 +34,8 @@ class SequenceSpec:
 @dataclass
 class ExceptionSpec:
     """Adjacency constraint with waivers: the (r=1, s=1) rule is lifted at any
-    index in `positions`, and at any link whose value test against `values`
-    holds (by default: left endpoint in signed mode, value pair {v, v+1} in
-    absolute mode; see oracle.count_with_exceptions).
+    index in `positions`, and at any link whose value pair is {v, v+1} for
+    some v in `values` (see oracle.count_with_exceptions).
     """
 
     n: int

@@ -125,9 +125,13 @@ def _multiply(p: dict, q: dict) -> dict:
     return out
 
 
-def _class_sizes(gap: int, n: int) -> list:
-    """Sizes of the residue classes of {1..n} mod gap (nonempty ones only)."""
-    return [(n - j) // gap + 1 for j in range(1, min(gap, n) + 1)]
+def _board(gap: int, n: int, factor) -> dict:
+    """Product of factor(L) over the nonempty residue classes of {1..n} mod
+    gap, L being the class size; the empty product is {0: 1}."""
+    poly = {0: 1}
+    for j in range(1, min(gap, n) + 1):
+        poly = _multiply(poly, factor((n - j) // gap + 1))
+    return poly
 
 
 def _check_board(gap: int, n: int):
@@ -140,10 +144,8 @@ def _check_board(gap: int, n: int):
 @lru_cache(maxsize=None)
 def _tiling_terms(gap: int, n: int) -> dict:
     """Shared, cached packed term dict of board n. Treat as read-only."""
-    poly = {0: 1}
-    for size in _class_sizes(gap, n):
-        poly = _multiply(poly, {pack(m, n): c for m, c in _interval_terms(size).items()})
-    return poly
+    return _board(gap, n, lambda size: {pack(m, n): c
+                                        for m, c in _interval_terms(size).items()})
 
 
 def tiling_polynomial(r: int, n: int) -> TilingPolynomial:
@@ -242,10 +244,8 @@ def run_profile(s: int, n: int) -> RunProfile:
     """
     _check_board(s, n)
     width = n.bit_length()  # (m, c) packs as m | c << width; c <= m <= n
-    counts = {0: 1}
-    for size in _class_sizes(s, n):
-        counts = _multiply(counts, {m | c << width: v
-                                    for (m, c), v in _interval_profile(size).items()})
+    counts = _board(s, n, lambda size: {m | c << width: v
+                                        for (m, c), v in _interval_profile(size).items()})
     mask = (1 << width) - 1
     return RunProfile(s, n, {(k & mask, k >> width): v for k, v in counts.items()})
 

@@ -75,11 +75,17 @@ def test_bfile_round_trip(tmp_path, capsys):
     assert cli._bfile_text(table.values, table.offset) == path.read_text()
 
 
-def test_bfile_offset_flag(capsys):
-    rc, out, _ = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "signed",
-                     "--n", "3", "--engine", "navarrete", "--offset", "0")
+def test_bfile_offset_flag(tmp_path, capsys):
+    args = ["compute", "--r", "1", "--s", "1", "--mode", "signed", "--n", "3",
+            "--engine", "navarrete", "--offset", "0"]
+    rc, out, _ = run(capsys, *args)
     assert rc == 0
     assert out == "0 1\n1 1\n2 3\n"
+    # the cache holds n = 1..N whatever --offset renumbers the output to
+    cache = tmp_path / "cache"
+    for _ in range(2):
+        assert run(capsys, *args, "--cache-dir", str(cache)) == (0, out, "")
+        assert [f.name for f in cache.iterdir()] == ["r1_s1_signed_navarrete.bfile"]
 
 
 def test_bfile_parse_errors(tmp_path):
@@ -309,6 +315,22 @@ def test_extend_out_file(tmp_path, capsys):
     assert rc == 0
     assert stdout == ""
     assert out.read_text() == "1 1\n2 0\n3 0\n4 2\n5 14\n6 90\n"
+
+
+def test_extend_stops_at_n(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("".join(f"{n} {n * n}\n" for n in range(3, 23)))  # 20 terms
+    opfile = tmp_path / "op.txt"
+    opfile.write_text("1 0 1\n1\n-1\n")  # t(n) = t(n-1)
+    rc, out, _ = run(capsys, "extend", "--opfile", str(opfile), "--bfile", str(seeds),
+                     "--n", "5")
+    assert rc == 0
+    assert out == "3 9\n4 16\n5 25\n"
+    rc, out, err = run(capsys, "extend", "--opfile", str(opfile), "--bfile", str(seeds),
+                       "--n", "2")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: n_max=2 is below the first seed index 3\n"
 
 
 def test_extend_inexact_reports_error(tmp_path, capsys):

@@ -17,6 +17,8 @@ from gapperms import (
     single_violation_at,
     violation_profile,
 )
+from gapperms.inclusion_exclusion import partition_sum
+from gapperms.tilings import _interval_terms, _multiply, pack
 
 
 def test_brute_count_examples():
@@ -109,17 +111,36 @@ def test_count_with_exceptions_no_waivers_matches_brute():
 
 
 def test_endpoint_rules_differ_where_expected():
-    # at n=4, a=b=2: left gives 12, pair gives 16 (the gap-2 diagonal), both 16
+    # A value waiver v lifts the links whose value pair is {v, v+1}.  With
+    # the cut at 2 this counts the gap-2 diagonal at n = 3 and 4; a waiver on
+    # the left value alone would give 12 at n = 4, and one on either value 6
+    # at n = 3, and neither is the diagonal.
     ex = ExceptionSpec(4, {2}, {2}, ABSOLUTE)
-    assert count_with_exceptions(ex, endpoint_rule="left") == 12
-    assert count_with_exceptions(ex, endpoint_rule="pair") == 16
-    # at n=3 the two charitable rules split: only "pair" matches the diagonal
+    assert count_with_exceptions(ex) == 16 == brute_count(SequenceSpec(2, 2, ABSOLUTE), 4)
     ex3 = ExceptionSpec(3, {2}, {2}, ABSOLUTE)
-    assert count_with_exceptions(ex3, endpoint_rule="pair") == 4
-    assert count_with_exceptions(ex3, endpoint_rule="both") == 6
-    assert brute_count(SequenceSpec(2, 2, ABSOLUTE), 3) == 4
-    with pytest.raises(ValueError):
-        count_with_exceptions(ex3, endpoint_rule="right")
+    assert count_with_exceptions(ex3) == 4 == brute_count(SequenceSpec(2, 2, ABSOLUTE), 3)
+
+
+def cut_board(n, cuts):
+    """Packed enumerator of the board {1..n} cut after every point of
+    `cuts`: the product of the interval enumerators of its pieces."""
+    board, start = {0: 1}, 0
+    for end in sorted(cuts) + [n]:
+        piece = {pack(m, n): c for m, c in _interval_terms(end - start).items()}
+        board, start = _multiply(board, piece), end
+    return board
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7), mode=st.sampled_from([SIGNED, ABSOLUTE]))
+def test_many_waivers_match_cut_board_sum(data, n, mode):
+    # a waived link is never chosen, so no position tile spans it; a waived
+    # value pair {v, v+1} likewise cuts the value board after v
+    positions = data.draw(st.frozensets(st.integers(1, n - 1)), label="positions")
+    values = data.draw(st.frozensets(st.integers(1, n)), label="values")
+    expected = partition_sum(cut_board(n, positions),
+                             cut_board(n, {v for v in values if v < n}), n, mode)
+    assert count_with_exceptions(ExceptionSpec(n, positions, values, mode)) == expected
 
 
 def test_enumeration_cap():

@@ -119,6 +119,9 @@ def test_extend_examples():
     step = RecurrenceOperator([[1], [-1]])
     assert extend(step, TermTable(1, [7]), 4).values == [7, 7, 7, 7]
     assert extend(NAV1, TermTable(1, [1, 1]), 4).values == [1, 1, 3, 11]
+    seeds = TermTable(3, [0, 2, 14, 90])  # only the terms up to n_max come back
+    assert extend(RIORDAN, seeds, 5).values == [0, 2, 14]
+    assert extend(RIORDAN, seeds, 3).values == [0]
 
 
 def test_extend_round_trips_with_verify():
@@ -135,6 +138,8 @@ def test_extend_error_paths():
         extend(halving, TermTable(1, [3]), 3)
     with pytest.raises(ValueError):
         extend(RIORDAN, TermTable(1, [1, 0]), 10)  # seeds shorter than order
+    with pytest.raises(ValueError, match="n_max=2 is below the first seed index 3"):
+        extend(RIORDAN, TermTable(3, [0, 2, 14, 90]), 2)
 
 
 def test_operator_normalization():
