@@ -14,6 +14,7 @@ go to stderr.  Exit status is 0 only when nothing mismatched or failed.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -234,6 +235,7 @@ def _add_spec_args(p):
     p.add_argument("--n", type=int, required=True, help="number of terms")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gapperms",

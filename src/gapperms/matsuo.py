@@ -33,7 +33,8 @@ C(j21+j22, j21) ways, and the tiles on each position side are ordered in
 
     L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!.
 
-Cost is O(n^4) big-integer products per term.
+Cost is O(n^4) big-integer products per term.  When a = b, as in fast22,
+the two link tables coincide and are built once.
 """
 
 from dataclasses import dataclass
@@ -97,8 +98,9 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     for t in range(max(0, a + b - n), min(a, b) + 1):
         w11 = _interval_weights(t, absolute)
         w22 = _interval_weights(n - a - b + t, absolute)
-        l12 = _link(_interval_weights(b - t, absolute), len(w11), len(w22), fact)
-        l21 = _link(_interval_weights(a - t, absolute), len(w22), len(w11), fact)
+        size = max(len(w11), len(w22))  # square tables, so one serves both ways
+        l12 = _link(_interval_weights(b - t, absolute), size, size, fact)
+        l21 = l12 if a == b else _link(_interval_weights(a - t, absolute), size, size, fact)
         total += sum(x * sum(y * l12[i][k] * l21[k][i] for k, y in enumerate(w22))
                      for i, x in enumerate(w11))
     return total

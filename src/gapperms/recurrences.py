@@ -11,10 +11,17 @@ nullspace by fraction-free (Bareiss) elimination over Python ints, and
 accept only a one-dimensional nullspace that also annihilates a held-out
 tail.  Neither floating point nor Fraction is used; a spurious approximate
 nullspace would defeat the whole point.
+
+A rank screen comes first: full column rank modulo SCREEN_PRIME proves that
+no operator fits (rank over Q >= rank mod p), the usual outcome of a grid
+cell.  Bareiss alone decides every other system, so an unlucky prime costs
+time, never an answer.
 """
 
 from dataclasses import dataclass, field
 from math import gcd
+
+SCREEN_PRIME = 32749  # below 2**15, so a product of residues fits one 30-bit digit
 
 
 @dataclass
@@ -98,15 +105,33 @@ class RecurrenceOperator:
         return sum(poly_eval(p, n) * terms[n - j] for j, p in enumerate(self.coeffs))
 
 
+def _full_rank_mod_p(rows: list, ncols: int) -> bool:
+    """Whether the rows have rank ncols mod p = SCREEN_PRIME; stops at the first
+    column without a pivot.  True proves nullity 0 over Q: a minor is nonzero."""
+    p = SCREEN_PRIME
+    mat = [[x % p for x in row] for row in rows]
+    for _ in range(ncols):
+        top = next((row for row in mat if row[0]), None)
+        if top is None:
+            return False
+        mat.remove(top)
+        inv = pow(top[0], -1, p)
+        top = [y * inv % p for y in top[1:]]
+        mat = [[(x - row[0] * y) % p for x, y in zip(row[1:], top)] for row in mat]
+    return True
+
+
 def _kernel(rows: list, ncols: int):
     """Nullity of the integer row system, and its integer kernel vector when
     the nullity is 1 (else None).
 
-    Fraction-free (Bareiss) forward elimination: each update divides by the
-    previous pivot, and Sylvester's identity makes that division exact, so
-    every entry stays an integer minor of the input.  The rank is the number
-    of pivots.
+    Past the rank screen, fraction-free (Bareiss) forward elimination: each
+    update divides by the previous pivot, and Sylvester's identity makes that
+    division exact, so every entry stays an integer minor of the input.  The
+    rank is the number of pivots.
     """
+    if _full_rank_mod_p(rows, ncols):
+        return 0, None
     mat = list(rows)
     pivot_cols = []
     prev = 1
@@ -151,10 +176,10 @@ def _normalize(vec: list, order: int, degree: int) -> list:
 
 def _rows(terms: TermTable, order: int, degree: int, holdout: int) -> list:
     """The fit window: one row per n, sum_j sum_e c_{j,e} n^e t(n-j) = 0."""
-    return [
-        [n ** e * terms[n - j] for j in range(order + 1) for e in range(degree + 1)]
-        for n in range(terms.offset + order, terms.last + 1 - holdout)
-    ]
+    t = terms.values  # t[i] = t(offset + i); each row's powers n**e are built once
+    return [[x * t[i - j] for j in range(order + 1) for x in powers]
+            for i in range(order, len(t) - holdout)
+            for powers in ([(terms.offset + i) ** e for e in range(degree + 1)],)]
 
 
 def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):

@@ -277,6 +277,23 @@ def test_fit_reads_comment_lines_and_cache_files(tmp_path, capsys):
         assert opfile.read_text() == "2 1 1\n1\n1 -1\n2 -1\n"
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    compute = ["compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "3",
+               "--engine", "riordan"]
+    assert run(capsys, *compute, "--offset", "0") == (0, "0 1\n1 0\n2 0\n", "")
+    assert run(capsys, *compute) == (0, "1 1\n2 0\n3 0\n", "")
+    bfile = tmp_path / "a11.txt"
+    assert run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "signed", "--n", "12",
+               "--engine", "navarrete", "--bfile", str(bfile))[0] == 0
+    fit = ["fit", "--bfile", str(bfile), "--order", "2", "--degree", "1"]
+    # 12 terms cover the bound of 9 plus holdout 3, but not plus the default 5
+    assert run(capsys, *fit, "--holdout", "3") == (0, "2 1 1\n1\n1 -1\n2 -1\n", "")
+    rc, out, err = run(capsys, *fit)
+    assert (rc, out) == (2, "")
+    assert "holdout=5" in err
+
+
 def test_fit_refusal_names_bound(tmp_path, capsys):
     bfile = tmp_path / "short.txt"
     bfile.write_text("".join(f"{i} {i}\n" for i in range(1, 6)))

@@ -21,10 +21,12 @@ from gapperms import (
     verify,
 )
 from gapperms.recurrences import (
+    SCREEN_PRIME,
     InexactStepError,
     InsufficientTermsError,
     SingularLeadingTermError,
     UnderdeterminedError,
+    _full_rank_mod_p,
     _kernel,
     _normalize,
     _rows,
@@ -278,3 +280,14 @@ def test_kernel_edge_cases():
     assert _kernel([[2, 3]], 2) == (1, [-3, 2])
     assert _kernel([[0, 5], [0, 7]], 2) == (1, [5, 0])  # first column never pivots
     assert _kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
+
+
+def test_kernel_falls_back_to_bareiss_when_the_screen_prime_is_unlucky():
+    p = SCREEN_PRIME
+    assert _full_rank_mod_p([[1, 2], [3, 4], [5, 6]], 2)
+    assert not _full_rank_mod_p([[1, 2], [2, 4]], 2)
+    # full rank over Q, singular mod p: Bareiss still proves nullity 0
+    assert not _full_rank_mod_p([[p, 0], [0, 1]], 2)
+    assert _kernel([[p, 0], [0, 1]], 2) == (0, None)
+    # nullity 2 mod p but 1 over Q: Bareiss finds the one kernel vector
+    assert _kernel([[p, 0, 0], [0, 1, 0]], 3) == (1, [0, 0, p])
