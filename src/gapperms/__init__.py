@@ -12,7 +12,7 @@ from .closed_forms import (
 )
 from .engines import compute
 from .inclusion_exclusion import count, sequence
-from .matsuo import MatsuoMap, fast22, matsuo_map, rin
+from .matsuo import fast22, rin
 from .oracle import (
     EnumerationCapError,
     brute_count,
@@ -45,7 +45,6 @@ __all__ = [
     "SIGNED",
     "EnumerationCapError",
     "ExceptionSpec",
-    "MatsuoMap",
     "RecurrenceOperator",
     "RunProfile",
     "SequenceSpec",
@@ -62,7 +61,6 @@ __all__ = [
     "fit",
     "format_operator",
     "format_polynomial",
-    "matsuo_map",
     "navarrete_recurrence",
     "navarrete_sum",
     "parse_operator",

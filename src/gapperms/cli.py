@@ -98,12 +98,12 @@ def _trailer(body: str) -> str:
 
 def _read_cache(path: str, n_max: int):
     """Terms 1..n_max from a cache file, or None on a miss.  A file that is
-    absent, too short, or whose trailer is missing or does not match its body
-    (a torn write, an edited line, the older trailer-less format) is a miss."""
+    absent, too short, not UTF-8, or whose trailer is missing or does not match
+    its body (a torn write, an edited line, the older trailer-less format) is a miss."""
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
     body = text[:text.rfind("\n", 0, -1) + 1]
     if text != body + _trailer(body):

@@ -3,9 +3,9 @@
 The relabeling (1, 1+h, 2, 2+h, 3, ...) with h = floor((n+1)/2) turns the
 "entries two apart never differ by two" constraint into an adjacent-entries
 constraint with two artifacts: the position link at index h and the value
-pair {h, h+1} become unconstrained.  Counting adjacency-avoiding
-permutations with those two waivers therefore counts the gap-2 sequences,
-in polynomial time per term.
+pair {h, h+1} become unconstrained.  So rin(n, h, h, mode), which counts
+adjacency-avoiding permutations with exactly those two waivers, is the
+gap-2 diagonal count, in polynomial time per term (fast22).
 
 rin(n, a, b, mode) counts permutations of {1..n} in which pi[i+1] - pi[i]
 (or |pi[i+1] - pi[i]| in absolute mode) never equals 1, except that the
@@ -37,32 +37,11 @@ Cost is O(n^4) big-integer products per term.  When a = b, as in fast22,
 the two link tables coincide and are built once.
 """
 
-from dataclasses import dataclass
 from math import comb, factorial
 from operator import mul
 
 from .specs import ABSOLUTE, check_mode
 from .tilings import _interval_weights
-
-
-@dataclass(frozen=True)
-class MatsuoMap:
-    """The interleaving relabeling of {1..n}: (1, 1+h, 2, 2+h, ...)."""
-
-    n: int
-    image: tuple
-
-
-def matsuo_map(n: int) -> MatsuoMap:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    h = (n + 1) // 2
-    image = []
-    for k in range(1, h + 1):
-        image.append(k)
-        if k + h <= n:
-            image.append(k + h)
-    return MatsuoMap(n, tuple(image))
 
 
 def _link(w, rows: int, cols: int, fact: list) -> list:

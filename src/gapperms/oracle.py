@@ -2,28 +2,28 @@
 
 Every faster engine in this package is validated against these functions.
 They are deliberately plain: generate all n! permutations, test the
-constraint, count.  A hard cap on n keeps accidental factorial blowups
-from hanging a test run.
+constraint, count.  Each refuses n > CAP with EnumerationCapError before
+enumerating, so an accidental factorial blowup cannot hang a test run.
 """
 
 from itertools import permutations
 
 from .specs import ABSOLUTE, ExceptionSpec, SequenceSpec
 
-DEFAULT_CAP = 11
+CAP = 11
 
 
 class EnumerationCapError(ValueError):
-    """Raised when a brute-force call would enumerate more than cap! permutations."""
+    """Raised when a brute-force call would enumerate more than CAP! permutations."""
 
 
-def _check_cap(n: int, cap: int):
+def _check_cap(n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
+    if n > CAP:
         raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {cap}; "
-            f"raise `cap` explicitly if you really want {n}! permutations"
+            f"n={n} exceeds the enumeration cap {CAP} of the brute-force "
+            f"oracle ({n}! permutations)"
         )
 
 
@@ -36,12 +36,12 @@ def _violations(pi: tuple, r: int, s: int, mode: str) -> int:
     return count
 
 
-def brute_count(spec: SequenceSpec, n: int, cap: int = DEFAULT_CAP) -> int:
+def brute_count(spec: SequenceSpec, n: int) -> int:
     """Number of permutations of {1..n} with no forbidden difference.
 
     n = 0 counts the empty permutation as 1.
     """
-    _check_cap(n, cap)
+    _check_cap(n)
     r, s, mode = spec.r, spec.s, spec.mode
     total = 0
     for pi in permutations(range(1, n + 1)):
@@ -59,25 +59,25 @@ def brute_count(spec: SequenceSpec, n: int, cap: int = DEFAULT_CAP) -> int:
 def brute_sequence(spec: SequenceSpec, n_max: int) -> list:
     """brute_count for n = 1..n_max, with the cap checked for the whole
     range before anything is enumerated."""
-    _check_cap(max(n_max, 0), DEFAULT_CAP)
+    _check_cap(max(n_max, 0))
     return [brute_count(spec, n) for n in range(1, n_max + 1)]
 
 
-def violation_profile(spec: SequenceSpec, n: int, cap: int = DEFAULT_CAP) -> list:
+def violation_profile(spec: SequenceSpec, n: int) -> list:
     """Entry k = number of permutations with exactly k violating indices.
 
     Entry 0 equals brute_count; the entries sum to n!.
     """
-    _check_cap(n, cap)
+    _check_cap(n)
     profile = [0] * (max(n - spec.r, 0) + 1)
     for pi in permutations(range(1, n + 1)):
         profile[_violations(pi, spec.r, spec.s, spec.mode)] += 1
     return profile
 
 
-def single_violation_at(spec: SequenceSpec, n: int, i: int, cap: int = DEFAULT_CAP) -> int:
+def single_violation_at(spec: SequenceSpec, n: int, i: int) -> int:
     """Permutations with exactly one violation, located at index i."""
-    _check_cap(n, cap)
+    _check_cap(n)
     if not 1 <= i <= n - spec.r:
         raise ValueError(f"i must lie in 1..{n - spec.r}, got {i}")
     r, s, mode = spec.r, spec.s, spec.mode
@@ -91,7 +91,7 @@ def single_violation_at(spec: SequenceSpec, n: int, i: int, cap: int = DEFAULT_C
     return total
 
 
-def count_with_exceptions(ex: ExceptionSpec, cap: int = DEFAULT_CAP) -> int:
+def count_with_exceptions(ex: ExceptionSpec) -> int:
     """Permutations of {1..n} obeying the (r=1, s=1) rule except at waived links.
 
     A violating link i (between positions i and i+1) is waived when i is in
@@ -99,7 +99,7 @@ def count_with_exceptions(ex: ExceptionSpec, cap: int = DEFAULT_CAP) -> int:
     value pair is {v, v+1} for some v in ex.values.  In signed mode a
     violating link ascends, so that is its left value.
     """
-    _check_cap(ex.n, cap)
+    _check_cap(ex.n)
     n, mode = ex.n, ex.mode
     positions, values = ex.positions, ex.values
     total = 0

@@ -48,21 +48,13 @@ def trim(freqs) -> tuple:
 class TilingPolynomial:
     """Sparse weight enumerator: monomial frequency vector -> tiling count."""
 
-    gap: int
-    board_size: int
     terms: dict
-
-    def total_tilings(self) -> int:
-        """Value at x_i := 1 for all i."""
-        return sum(self.terms.values())
 
 
 @dataclass
 class RunProfile:
     """Tiling counts aggregated by (m, c) = (tiles, non-singleton tiles)."""
 
-    gap: int
-    board_size: int
     counts: dict
 
 
@@ -151,7 +143,7 @@ def _tiling_terms(gap: int, n: int) -> dict:
 def tiling_polynomial(r: int, n: int) -> TilingPolynomial:
     """Weight enumerator of gap-r tilings of {1..n} (residue factorization)."""
     _check_board(r, n)
-    return TilingPolynomial(r, n, {unpack(k, n): c for k, c in _tiling_terms(r, n).items()})
+    return TilingPolynomial({unpack(k, n): c for k, c in _tiling_terms(r, n).items()})
 
 
 def tiling_polynomial_direct(r: int, n: int) -> TilingPolynomial:
@@ -188,7 +180,7 @@ def tiling_polynomial_direct(r: int, n: int) -> TilingPolynomial:
                 if open_len:
                     key = _bump(key, open_len)
             out[key] = out.get(key, 0) + c
-    return TilingPolynomial(r, n, out)
+    return TilingPolynomial(out)
 
 
 def coefficient(r: int, n: int, freqs) -> int:
@@ -247,7 +239,7 @@ def run_profile(s: int, n: int) -> RunProfile:
     counts = _board(s, n, lambda size: {m | c << width: v
                                         for (m, c), v in _interval_profile(size).items()})
     mask = (1 << width) - 1
-    return RunProfile(s, n, {(k & mask, k >> width): v for k, v in counts.items()})
+    return RunProfile({(k & mask, k >> width): v for k, v in counts.items()})
 
 
 def format_polynomial(poly: TilingPolynomial) -> str:

@@ -131,7 +131,7 @@ def test_torn_cache_is_recomputed(tmp_path, capsys):
     assert rc == 0 and out.endswith("20 327460573946510746\n")
     path = cache / "r1_s1_absolute_riordan.bfile"
     whole = path.read_bytes()
-    for torn in (whole[:-6], whole[:-1], b"1 1\n2 x\n", b""):
+    for torn in (whole[:-6], whole[:-1], b"1 1\n2 x\n", b"", b"\xff\xfe\x00garbage"):
         path.write_bytes(torn)
         rc, again, _ = run(capsys, *args)
         assert rc == 0 and again == out

@@ -1,11 +1,12 @@
 """The engine table: every engine against the oracle inside its scope (the
 spec or its transpose), a loud refusal outside it and for n < 1, and the
-"auto" choice."""
+"auto" choice; and the package's public export list."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapperms
 from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, cli, compute
 from gapperms.engines import ENGINES, resolve
 from gapperms.oracle import brute_sequence
@@ -78,3 +79,10 @@ def test_auto_serves_s_equal_one_through_the_transpose(r):
 def test_unknown_engine_is_refused():
     with pytest.raises(ValueError, match="unknown engine 'nope'"):
         compute(SequenceSpec(1, 1, SIGNED), 3, "nope")
+
+
+def test_public_export_list_is_exact():
+    namespace = {}
+    exec("from gapperms import *", namespace)  # AttributeError if a name does not resolve
+    assert set(namespace) - {"__builtins__"} == set(gapperms.__all__)
+    assert not hasattr(gapperms, "matsuo_map") and not hasattr(gapperms, "MatsuoMap")

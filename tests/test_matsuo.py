@@ -1,4 +1,4 @@
-"""Interleaving bijection, the RIN engine, and the gap-2 diagonal."""
+"""The RIN exception-count engine and the gap-2 diagonal."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,40 +13,18 @@ from gapperms import (
     count,
     count_with_exceptions,
     fast22,
-    matsuo_map,
     rin,
 )
 from gapperms.inclusion_exclusion import partition_sum
-from gapperms.tilings import _interval_terms, _multiply, pack
+
+from boards import cut_board
 
 
 def rin_reference(n, a, b, mode):
-    """Independent route: the partition-sum kernel over split boards.
+    """Independent route: the partition-sum kernel over cut boards.
     Position tilings may not span the link at a (intervals of [1..a] then
     [a+1..n]); value tilings must cut after b."""
-
-    def split_board(cut):
-        left, right = ({pack(m, n): c for m, c in _interval_terms(L).items()}
-                       for L in (cut, n - cut))
-        return _multiply(left, right)
-
-    return partition_sum(split_board(a), split_board(b), n, mode)
-
-
-def test_map_examples():
-    assert matsuo_map(5).image == (1, 4, 2, 5, 3)
-    assert matsuo_map(4).image == (1, 3, 2, 4)
-    assert matsuo_map(1).image == (1,)
-
-
-def test_map_is_an_interleaving_permutation():
-    for n in range(1, 40):
-        image = matsuo_map(n).image
-        h = (n + 1) // 2
-        assert sorted(image) == list(range(1, n + 1))
-        assert image[0] == 1
-        if n >= 2:
-            assert image[1] == 1 + h
+    return partition_sum(cut_board(n, {a}), cut_board(n, {b}), n, mode)
 
 
 def test_rin_examples():

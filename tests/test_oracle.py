@@ -18,7 +18,8 @@ from gapperms import (
     violation_profile,
 )
 from gapperms.inclusion_exclusion import partition_sum
-from gapperms.tilings import _interval_terms, _multiply, pack
+
+from boards import cut_board
 
 
 def test_brute_count_examples():
@@ -121,16 +122,6 @@ def test_endpoint_rules_differ_where_expected():
     assert count_with_exceptions(ex3) == 4 == brute_count(SequenceSpec(2, 2, ABSOLUTE), 3)
 
 
-def cut_board(n, cuts):
-    """Packed enumerator of the board {1..n} cut after every point of
-    `cuts`: the product of the interval enumerators of its pieces."""
-    board, start = {0: 1}, 0
-    for end in sorted(cuts) + [n]:
-        piece = {pack(m, n): c for m, c in _interval_terms(end - start).items()}
-        board, start = _multiply(board, piece), end
-    return board
-
-
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(2, 7), mode=st.sampled_from([SIGNED, ABSOLUTE]))
 def test_many_waivers_match_cut_board_sum(data, n, mode):
@@ -144,14 +135,13 @@ def test_many_waivers_match_cut_board_sum(data, n, mode):
 
 
 def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
+    with pytest.raises(EnumerationCapError, match="n=12 exceeds the enumeration cap 11"):
         brute_count(SequenceSpec(1, 1, SIGNED), 12)
     with pytest.raises(EnumerationCapError):
         violation_profile(SequenceSpec(1, 1, SIGNED), 12)
     with pytest.raises(EnumerationCapError):
         count_with_exceptions(ExceptionSpec(12))
-    # configurable: a raised cap admits the call
-    assert brute_count(SequenceSpec(1, 1, SIGNED), 8, cap=8) == 16687
+    assert brute_count(SequenceSpec(1, 1, SIGNED), 8) == 16687
 
 
 def test_spec_validation():
