@@ -13,10 +13,13 @@ match same-size tiles between the two boards, and the power of two picks a
 direction (ascending or descending) for each non-singleton value run.
 
 Exact integers throughout; cost is driven by the number of partitions in
-the common support of the two enumerators.  The enumerators arrive with
-packed int keys (see tilings): the support is probed on the ints, and only
-the common monomials are decoded, field by field from a_1 up to the largest
-part, each a_i contributing a_i!, its share of the sign and its power of two.
+the common support of the two enumerators.  The enumerators arrive slotted
+(see tilings): a key packs the parts >= 3 of a group of monomials, and its
+value holds their counts in slots of width n + 1, one per a_2, with a_1
+implied.  The support is probed on the keys; each common key is decoded
+once, each a_i >= 3 contributing a_i!, its share of the sign and its power
+of two, and then the slots of the two values are walked in step against a
+table of a_1! a_2! [2^a_2] and their sign for the weight of that group.
 """
 
 from math import factorial
@@ -26,30 +29,47 @@ from .tilings import _tiling_terms, _widths
 
 
 def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
-    """The signed sum above over the monomials common to two packed tiling
+    """The signed sum above over the monomials common to two slotted tiling
     enumerators pa and pb of boards with n cells each."""
     if len(pb) < len(pa):
         pa, pb = pb, pa  # enumerate the sparser support, probe the other
     absolute = mode == ABSOLUTE
-    fields = []  # per part size i: field width, mask, weight[a_i]
-    for i, width in enumerate(_widths(n), start=1):
+
+    def weights(i):
         # a_i! [* 2^a_i for runs], signed: n - sum a_i = sum (i - 1) a_i
         weight = [factorial(a) << (a if absolute and i > 1 else 0) for a in range(n // i + 1)]
         if i % 2 == 0:
             weight[1::2] = [-w for w in weight[1::2]]
-        fields.append((width, (1 << width) - 1, weight))
+        return weight
+
+    w_1, w_2 = weights(1), weights(2)
+    # per weight w of the parts >= 3, slot a_2 -> w_1[a_1] * w_2[a_2]
+    tables = [[w_1[n - w - 2 * a] * w_2[a] for a in range((n - w) // 2 + 1)]
+              for w in range(n + 1)]
+    fields = [(i, width, (1 << width) - 1, weights(i))
+              for i, width in enumerate(_widths(n)[2:], start=3)]
+    slot, mask = n + 1, (1 << n + 1) - 1
     total = 0
-    for key, ca in pa.items():
-        cb = pb.get(key)
-        if not cb:
+    for key, va in pa.items():
+        vb = pb.get(key)
+        if not vb:
             continue
-        term = ca * cb
-        for width, mask, weight in fields:
+        term, high = 1, 0  # high: the weight of the parts >= 3
+        for i, width, fmask, weight in fields:
             if not key:
                 break
-            term *= weight[key & mask]
+            a = key & fmask
+            term *= weight[a]
+            high += i * a
             key >>= width
-        total += term
+        acc = 0
+        for w in tables[high]:
+            if not (va and vb):
+                break
+            acc += (va & mask) * (vb & mask) * w
+            va >>= slot
+            vb >>= slot
+        total += term * acc
     return total
 
 

@@ -18,11 +18,15 @@ enumerators.  That factorization is the production path; a direct
 position-by-position scan of the board is kept as an independent
 cross-check.
 
-Internally a monomial of a board with n cells is one int, `pack(freqs, n)`:
-part size i owns a bit field of width (n // i).bit_length().  Every a_i of a
-monomial on that board is at most n // i, so multiplying two monomials whose
-weights sum to at most n is integer addition that never carries.  The
-cached products (_tiling_terms) are keyed this way; tiling_polynomial,
+Internally the enumerator of a board with n cells is slotted.  A key is
+the packed int of a monomial's parts >= 3: `pack` gives part size i a bit
+field of width (n // i).bit_length(), and the key drops the a_1 and a_2
+fields from its bottom.  Each a_i on the board is at most n // i, so adding
+keys never carries.  The value is one int, sum c << (a_2 * W) with slot
+width W = n + 1, and a_1 = n - 2 a_2 - (weight of the parts >= 3) is
+implied.  So one big-int product multiplies whole a_2 polynomials, and no
+slot carries: a slot of a partial product counts tilings of part of the
+board, which has at most 2^(n-1) < 2^W of them.  tiling_polynomial,
 coefficient and format_polynomial keep tuple keys at the API boundary.
 """
 
@@ -133,17 +137,41 @@ def _check_board(gap: int, n: int):
         raise ValueError("n must be >= 0")
 
 
+def _slot(freqs: tuple, n: int) -> tuple:
+    """Where the monomial `freqs` of board n is kept: the slotted key (its
+    packed parts >= 3) and the shift a_2 * (n + 1) of its slot."""
+    return pack(freqs, n) >> sum(_widths(n)[:2]), sum(freqs[1:2]) * (n + 1)
+
+
+def _interval_factor(length: int, n: int) -> dict:
+    """Slotted enumerator of an interval of `length` cells on board n."""
+    out = {}
+    for mono, c in _interval_terms(length).items():
+        key, shift = _slot(mono, n)
+        out[key] = out.get(key, 0) + (c << shift)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _tiling_terms(gap: int, n: int) -> dict:
-    """Shared, cached packed term dict of board n. Treat as read-only."""
-    return _board(gap, n, lambda size: {pack(m, n): c
-                                        for m, c in _interval_terms(size).items()})
+    """Shared, cached slotted term dict of board n. Treat as read-only."""
+    return _board(gap, n, lambda size: _interval_factor(size, n))
 
 
 def tiling_polynomial(r: int, n: int) -> TilingPolynomial:
     """Weight enumerator of gap-r tilings of {1..n} (residue factorization)."""
     _check_board(r, n)
-    return TilingPolynomial({unpack(k, n): c for k, c in _tiling_terms(r, n).items()})
+    low, mask = sum(_widths(n)[:2]), (1 << n + 1) - 1
+    terms = {}
+    for key, slots in _tiling_terms(r, n).items():
+        high = unpack(key << low, n)[2:]
+        a_1, a_2 = n - partition_weight((0, 0) + high), 0
+        while slots:
+            if slots & mask:
+                terms[trim((a_1, a_2) + high)] = slots & mask
+            slots >>= n + 1
+            a_1, a_2 = a_1 - 2, a_2 + 1
+    return TilingPolynomial(terms)
 
 
 def tiling_polynomial_direct(r: int, n: int) -> TilingPolynomial:
@@ -192,7 +220,8 @@ def coefficient(r: int, n: int, freqs) -> int:
     key = trim(freqs)
     if partition_weight(key) != n or min(key, default=0) < 0:
         raise ValueError(f"{tuple(freqs)} is not a partition of {n}")
-    return _tiling_terms(r, n).get(pack(key, n), 0)
+    key, shift = _slot(key, n)
+    return _tiling_terms(r, n).get(key, 0) >> shift & ((1 << n + 1) - 1)
 
 
 def _interval_profile(length: int) -> dict:

@@ -1,11 +1,17 @@
 """Partition-sum engine against the oracle and its printed fixture."""
 
+from itertools import zip_longest
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, count, sequence
-from gapperms.tilings import coefficient
+from gapperms.inclusion_exclusion import partition_sum
+from gapperms.tilings import _interval_terms, coefficient, trim
+
+from boards import cut_board
 
 A44_FIRST_TEN = [1, 2, 6, 24, 114, 628, 4062, 30360, 255186, 2414292]
 
@@ -109,3 +115,32 @@ def test_sequence_wrapper():
     assert sequence(spec, 6) == [count(spec, n) for n in range(1, 7)]
     with pytest.raises(ValueError):
         sequence(spec, 0)
+
+
+def tuple_cut_board(n, cuts):
+    """cut_board with tuple keys: the interval enumerators of the pieces,
+    multiplied by adding frequency vectors."""
+    board, start = {(): 1}, 0
+    for end in sorted(cuts) + [n]:
+        product = {}
+        for ma, ca in board.items():
+            for mb, cb in _interval_terms(end - start).items():
+                key = trim(x + y for x, y in zip_longest(ma, mb, fillvalue=0))
+                product[key] = product.get(key, 0) + ca * cb
+        board, start = product, end
+    return board
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, 16), mode=st.sampled_from([SIGNED, ABSOLUTE]))
+def test_partition_sum_matches_tuple_keyed_sum(data, n, mode):
+    cuts_a = {c for c in data.draw(st.frozensets(st.integers(1, 15)), label="cuts_a") if c < n}
+    cuts_b = {c for c in data.draw(st.frozensets(st.integers(1, 15)), label="cuts_b") if c < n}
+    pa, pb = tuple_cut_board(n, cuts_a), tuple_cut_board(n, cuts_b)
+    expected = 0
+    for freqs, ca in pa.items():
+        term = ca * pb.get(freqs, 0) * (-1) ** (n - sum(freqs))
+        for i, a in enumerate(freqs, start=1):
+            term *= factorial(a) * (2 ** a if mode == ABSOLUTE and i > 1 else 1)
+        expected += term
+    assert partition_sum(cut_board(n, cuts_a), cut_board(n, cuts_b), n, mode) == expected

@@ -87,6 +87,30 @@ def test_residue_factorization_matches_direct_scan(r, n):
     assert tiling_polynomial(r, n).terms == tiling_polynomial_direct(r, n).terms
 
 
+@settings(max_examples=60, deadline=None)
+@given(gap=st.integers(1, 5), n=st.integers(0, 24))
+def test_slotted_enumerator_expands_to_direct_scan(gap, n):
+    direct = tiling_polynomial_direct(gap, n).terms
+    assert tiling_polynomial(gap, n).terms == direct
+    # (n,) sits in slot 0; the all-2s monomial (0, n/2) in the top a_2 slot
+    extremes = [(n,)] + ([(0, n // 2)] if n % 2 == 0 else [])
+    for mono in list(direct) + extremes:
+        assert coefficient(gap, n, mono) == direct.get(trim(mono), 0), mono
+
+
+@pytest.mark.parametrize("gap,n", [(1, 0), (1, 1), (1, 24), (2, 2), (2, 33), (3, 45),
+                                   (4, 52), (5, 7), (6, 60)])
+def test_slots_never_carry(gap, n):
+    slots = []
+    for value in _tiling_terms(gap, n).values():
+        while value:
+            slots.append(value & ((1 << n + 1) - 1))
+            value >>= n + 1
+    # a carry out of a slot would lose 2^(n+1) - 1 from this total
+    assert sum(slots) == 2 ** (n - min(gap, n))
+    assert max(slots) < 2 ** (n + 1)
+
+
 def test_interval_tilings_are_compositions():
     for n in range(1, 16):
         assert sum(tiling_polynomial(1, n).terms.values()) == 2 ** (n - 1)
