@@ -131,7 +131,7 @@ def _engine_list(text: str) -> list:
 
 def cmd_compute(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
-    engine = engines.resolve(spec, args.engine)
+    engine = engines.resolve(spec, args.engine, args.n)
     cache = _cache_path(args.cache_dir, spec, engine)
     values = _read_cache(cache, args.n) if cache else None
     if values is None:
@@ -153,7 +153,7 @@ def cmd_crosscheck(args) -> int:
             raise ValueError(f"unknown engine {name!r}")
         if name in names[:i]:
             raise ValueError(f"engine {name!r} is listed twice")
-        engines.resolve(spec, name)
+        engines.resolve(spec, name, args.n)
     results = {e: engines.compute(spec, args.n, e) for e in names}
     reference = names[0]
     for other in names[1:]:
@@ -220,7 +220,7 @@ def cmd_extend(args) -> int:
 def cmd_bench(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
     names = _engine_list(args.engines)
-    resolved = [engines.resolve(spec, name) for name in names]
+    resolved = [engines.resolve(spec, name, args.n) for name in names]
     for name, engine in zip(names, resolved):
         start = time.perf_counter()
         engines.compute(spec, args.n, engine)

@@ -44,25 +44,26 @@ def _oriented(spec: SequenceSpec, engine: str):
     return next((sp for sp in (spec, transpose) if ENGINES[engine][0](sp)), None)
 
 
-def resolve(spec: SequenceSpec, engine: str) -> str:
-    """The concrete engine that serves spec under the name `engine`.
-
-    Raises ValueError for an unknown name or an engine that serves neither
-    spec nor its transpose.
-    """
+def resolve(spec: SequenceSpec, engine: str, n_max: int) -> str:
+    """The concrete engine that serves spec for n = 1..n_max under the name
+    `engine`.  Raises ValueError, before any engine runs, for an unknown name,
+    an engine that serves neither spec nor its transpose, n_max < 1, or an
+    oracle range past its cap (EnumerationCapError)."""
     if engine == "auto":
-        return next((e for e in AUTO_ORDER if _oriented(spec, e)), "ie")
+        engine = next((e for e in AUTO_ORDER if _oriented(spec, e)), "ie")
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if _oriented(spec, engine) is None:
         requirement = ENGINES[engine][1]
         raise ValueError(f"engine {engine!r} not applicable: {engine} requires {requirement}")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if engine == "oracle":
+        oracle._check_cap(n_max)
     return engine
 
 
 def compute(spec: SequenceSpec, n_max: int, engine: str = "auto") -> list:
     """Terms for n = 1..n_max from the named engine ("auto" picks one)."""
-    engine = resolve(spec, engine)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    engine = resolve(spec, engine, n_max)
     return ENGINES[engine][2](_oriented(spec, engine), n_max)

@@ -82,7 +82,7 @@ def count(spec: SequenceSpec, n: int) -> int:
 
 
 def sequence(spec: SequenceSpec, n_max: int) -> list:
-    """Terms for n = 1..n_max; the batch shares interval enumerators, not boards."""
+    """Terms for n = 1..n_max; no enumerator is shared across n (slots are sized by n)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return [count(spec, n) for n in range(1, n_max + 1)]

@@ -14,9 +14,10 @@ partition of n, trailing zeros trimmed, so x1^3 x2 is (3, 1).  For example
 
 Every gap-r tile lives inside one residue class of {1..n} mod r, where it
 is an interval, so the enumerator factors into a product of r interval
-enumerators.  That factorization is the production path; a direct
-position-by-position scan of the board is kept as an independent
-cross-check.
+enumerators, each filled in from a multinomial: (a_1 + a_2 + ...)! /
+(a_1! a_2! ...) compositions of an interval have a_i parts of size i.
+That factorization is the production path; a direct position-by-position
+scan of the board is kept as an independent cross-check.
 
 Internally the enumerator of a board with n cells is slotted.  A key is
 the packed int of a monomial's parts >= 3: `pack` gives part size i a bit
@@ -32,7 +33,8 @@ coefficient and format_polynomial keep tuple keys at the API boundary.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from math import comb, factorial
 
 
 def partition_weight(freqs: tuple) -> int:
@@ -68,20 +70,6 @@ def _bump(freqs: tuple, size: int) -> tuple:
         f.extend([0] * (size - len(f)))
     f[size - 1] += 1
     return tuple(f)
-
-
-@lru_cache(maxsize=None)
-def _interval_terms(length: int) -> dict:
-    """Gap-1 enumerator of an interval board, i.e. compositions of `length`
-    collected by part multiset.  Dynamic programming on the last tile."""
-    if length == 0:
-        return {(): 1}
-    out = {}
-    for size in range(1, length + 1):
-        for mono, count in _interval_terms(length - size).items():
-            key = _bump(mono, size)
-            out[key] = out.get(key, 0) + count
-    return out
 
 
 @lru_cache(maxsize=512)
@@ -144,11 +132,22 @@ def _slot(freqs: tuple, n: int) -> tuple:
 
 
 def _interval_factor(length: int, n: int) -> dict:
-    """Slotted enumerator of an interval of `length` cells on board n."""
+    """Slotted enumerator of an interval of `length` cells on board n.  Each
+    partition of at most `length` into parts >= 3 (b parts, den = prod a_i!,
+    rest cells left) is a key, whose slot a_2 holds the multinomial
+    (a_1 + a_2 + b)! / (a_1! a_2! den) with a_1 = rest - 2 a_2."""
+    fact = [factorial(k) for k in range(length + 1)]
+    shifts = list(accumulate(_widths(n)[2:], initial=0))  # part i at shifts[i - 3]
     out = {}
-    for mono, c in _interval_terms(length).items():
-        key, shift = _slot(mono, n)
-        out[key] = out.get(key, 0) + (c << shift)
+
+    def walk(low, key, b, rest, den):
+        out[key] = sum(fact[rest - a_2 + b] // (fact[rest - 2 * a_2] * fact[a_2] * den)
+                       << a_2 * (n + 1) for a_2 in range(rest // 2 + 1))
+        for i in range(low, rest + 1):
+            for a in range(1, rest // i + 1):
+                walk(i + 1, key | a << shifts[i - 3], b + a, rest - i * a, den * fact[a])
+
+    walk(3, 0, 0, length, 1)
     return out
 
 

@@ -1,6 +1,23 @@
-"""Reference boards shared by the oracle and RIN tests."""
+"""Reference boards shared by the oracle, RIN and tiling tests."""
 
-from gapperms.tilings import _interval_factor, _multiply
+from functools import lru_cache
+
+from gapperms.tilings import _bump, _interval_factor, _multiply
+
+
+@lru_cache(maxsize=None)
+def interval_terms(length):
+    """Compositions of `length` collected by part multiset, tuple-keyed:
+    dynamic programming on the last part.  The reference for the closed
+    form of tilings._interval_factor."""
+    if length == 0:
+        return {(): 1}
+    out = {}
+    for size in range(1, length + 1):
+        for mono, count in interval_terms(length - size).items():
+            key = _bump(mono, size)
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 def cut_board(n, cuts):

@@ -66,7 +66,6 @@ def criterion(number, description):
 
 
 def _clear_tiling_caches():
-    tilings_mod._interval_terms.cache_clear()
     tilings_mod._tiling_terms.cache_clear()
 
 

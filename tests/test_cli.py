@@ -45,6 +45,19 @@ def test_compute_oracle_cap(capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["crosscheck", "bench"])
+def test_oracle_cap_is_checked_before_any_engine_runs(capsys, monkeypatch, command):
+    def fail(spec, n_max):
+        raise AssertionError("ie ran before the oracle cap was checked")
+
+    monkeypatch.setattr(inclusion_exclusion, "sequence", fail)
+    rc, out, err = run(capsys, command, "--r", "3", "--s", "3", "--mode", "signed",
+                       "--n", "40", "--engines", "ie,oracle")
+    assert rc == 2
+    assert out == ""
+    assert "exceeds the enumeration cap" in err
+
+
 def test_auto_matches_concrete_engines(capsys):
     for r, s, mode, concrete in [
         ("1", "1", "signed", "navarrete"),

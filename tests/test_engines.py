@@ -55,7 +55,7 @@ def test_every_engine_in_scope_matches_oracle_and_refuses_outside(spec, capsys):
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert f"{engine} requires {requirement}" in captured.err
-    assert resolve(spec, "auto") == expected_auto(spec)
+    assert resolve(spec, "auto", 8) == expected_auto(spec)
     assert compute(spec, 8) == want
 
 
@@ -72,8 +72,8 @@ def test_engines_in_scope_agree_with_oracle_on_random_specs(r, s, mode, n):
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_auto_serves_s_equal_one_through_the_transpose(r):
-    assert resolve(SequenceSpec(r, 1, SIGNED), "auto") == "navarrete"
-    assert resolve(SequenceSpec(r, 1, ABSOLUTE), "auto") == ("riordan" if r == 1 else "r1fast")
+    assert resolve(SequenceSpec(r, 1, SIGNED), "auto", 8) == "navarrete"
+    assert resolve(SequenceSpec(r, 1, ABSOLUTE), "auto", 8) == ("riordan" if r == 1 else "r1fast")
 
 
 def test_unknown_engine_is_refused():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, count, sequence
 from gapperms.inclusion_exclusion import partition_sum
-from gapperms.tilings import _interval_terms, coefficient, trim
+from gapperms.tilings import coefficient, trim
 
-from boards import cut_board
+from boards import cut_board, interval_terms
 
 A44_FIRST_TEN = [1, 2, 6, 24, 114, 628, 4062, 30360, 255186, 2414292]
 
@@ -124,7 +124,7 @@ def tuple_cut_board(n, cuts):
     for end in sorted(cuts) + [n]:
         product = {}
         for ma, ca in board.items():
-            for mb, cb in _interval_terms(end - start).items():
+            for mb, cb in interval_terms(end - start).items():
                 key = trim(x + y for x, y in zip_longest(ma, mb, fillvalue=0))
                 product[key] = product.get(key, 0) + ca * cb
         board, start = product, end

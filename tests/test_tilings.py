@@ -12,8 +12,9 @@ from gapperms import (
     tiling_polynomial_direct,
 )
 from gapperms.tilings import (
-    _interval_terms,
+    _interval_factor,
     _interval_weights,
+    _slot,
     _tiling_terms,
     _widths,
     pack,
@@ -21,6 +22,8 @@ from gapperms.tilings import (
     trim,
     unpack,
 )
+
+from boards import interval_terms
 
 F35 = {(5,): 1, (3, 1): 2, (1, 2): 1}
 F37 = {
@@ -114,6 +117,15 @@ def test_slots_never_carry(gap, n):
 def test_interval_tilings_are_compositions():
     for n in range(1, 16):
         assert sum(tiling_polynomial(1, n).terms.values()) == 2 ** (n - 1)
+    # the closed form equals the composition DP, slotted; L = 0, 1, 2 have no
+    # part >= 3, and the wider board n = 2L + 3 changes the field widths
+    for length in range(0, 21):
+        for n in (length, 2 * length + 3):
+            want = {}
+            for mono, count in interval_terms(length).items():
+                key, shift = _slot(mono, n)
+                want[key] = want.get(key, 0) + (count << shift)
+            assert _interval_factor(length, n) == want, (length, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,7 +239,7 @@ def test_interval_weights_aggregate_compositions():
     for length in range(0, 13):
         for absolute in (False, True):
             want = [0] * (length + 1)
-            for mono, count in _interval_terms(length).items():
+            for mono, count in interval_terms(length).items():
                 m, runs = sum(mono), sum(mono[1:])
                 want[m] += (-1) ** (length - m) * count * (2 ** runs if absolute else 1)
             assert list(_interval_weights(length, absolute)) == want, (length, absolute)
