@@ -18,6 +18,7 @@ import functools
 import os
 import sys
 import time
+from contextlib import suppress
 
 # The builtin sha256 (_sha256 up to Python 3.11, _sha2 after) spares the
 # load of OpenSSL that importing hashlib costs: about 4 MB of resident memory.
@@ -118,11 +119,16 @@ def _read_cache(path: str, n_max: int):
 
 
 def _write_atomic(path: str, text: str):
-    """Readers see either the old file or the whole new one."""
+    """Readers see either the old file or the whole new one; a failure leaves no temp file."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _engine_list(text: str) -> list:

@@ -33,23 +33,30 @@ C(j21+j22, j21) ways, and the tiles on each position side are ordered in
 
     L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!.
 
-Cost is O(n^4) big-integer products per term.  When a = b, as in fast22,
+Since (j+k+1)! = (k+1)(j+k)! + j (j+k)! and j C(i+j, i) = (i+1) (C(i+1+j, i+1) -
+C(i+j, i)), a table fills column by column from L[i][0] = sum_j w[j] (i+j)! / i!:
+
+    L[i][k+1] = (k - i) L[i][k] + (i + 1) L[i+1][k].
+
+Cost is O(n^3) big-integer products per term.  When a = b, as in fast22,
 the two link tables coincide and are built once.
 """
 
-from math import comb, factorial
+from itertools import accumulate
 from operator import mul
 
 from .specs import ABSOLUTE, check_mode
 from .tilings import _interval_weights
 
 
-def _link(w, rows: int, cols: int, fact: list) -> list:
-    """L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)! for i < rows, k < cols."""
+def _link(w, size: int, fact: list) -> list:
+    """Columns of L(w), out[k][i] = L(w)[i][k] for i, k < size, by the module
+    docstring's recurrence.  Reads fact up to index 2*size - 3 + len(w)."""
+    col = [sum(map(mul, w, fact[i:i + len(w)])) // fact[i] for i in range(2 * size - 1)]
     out = []
-    for i in range(rows):
-        u = [comb(i + j, i) * wj for j, wj in enumerate(w)]
-        out.append([sum(map(mul, u, fact[k:k + len(w)])) for k in range(cols)])
+    for k in range(size):
+        out.append(col[:size])
+        col = [(k - i) * col[i] + (i + 1) * col[i + 1] for i in range(len(col) - 1)]
     return out
 
 
@@ -64,7 +71,8 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
 
     over the four tile groups of the module docstring, where w_L is
     tilings._interval_weights(L, absolute) and
-    L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!.
+    L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!, filled column by column
+    by L[i][k+1] = (k - i) L[i][k] + (i + 1) L[i+1][k].  O(n^3) per call.
     """
     check_mode(mode)
     if not 1 <= a <= n - 1:
@@ -72,15 +80,16 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     if not 1 <= b <= n:
         raise ValueError(f"b must lie in 1..{n}, got {b}")
     absolute = mode == ABSOLUTE
-    fact = [factorial(k) for k in range(n + 1)]
+    # _link's top index 2*size - 3 + len(w) peaks at t = min(a, b), at max(a + b, 2n - a - b)
+    fact = list(accumulate(range(1, max(a + b, 2 * n - a - b) + 1), mul, initial=1))
     total = 0
     for t in range(max(0, a + b - n), min(a, b) + 1):
         w11 = _interval_weights(t, absolute)
         w22 = _interval_weights(n - a - b + t, absolute)
         size = max(len(w11), len(w22))  # square tables, so one serves both ways
-        l12 = _link(_interval_weights(b - t, absolute), size, size, fact)
-        l21 = l12 if a == b else _link(_interval_weights(a - t, absolute), size, size, fact)
-        total += sum(x * sum(y * l12[i][k] * l21[k][i] for k, y in enumerate(w22))
+        l12 = _link(_interval_weights(b - t, absolute), size, fact)
+        l21 = l12 if a == b else _link(_interval_weights(a - t, absolute), size, fact)
+        total += sum(x * sum(y * l12[k][i] * l21[i][k] for k, y in enumerate(w22))
                      for i, x in enumerate(w11))
     return total
 

@@ -152,6 +152,22 @@ def test_torn_cache_is_recomputed(tmp_path, capsys):
     assert [p.name for p in cache.iterdir()] == [path.name]
 
 
+@pytest.mark.parametrize("failure", ["directory", "replace"])
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch, failure):
+    cache = tmp_path / "cache"
+    path = cache / "r1_s1_absolute_riordan.bfile"
+    if failure == "directory":
+        path.mkdir(parents=True)  # os.replace cannot put a file over a directory
+    else:
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(cli.os, "replace", refuse)
+    rc, out, err = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "abs",
+                       "--n", "5", "--cache-dir", str(cache))
+    assert rc == 2 and out == "" and err.startswith("error: ")
+    assert list(cache.glob("*.tmp")) == []
+
+
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
     rc, out, _ = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "signed",

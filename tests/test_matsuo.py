@@ -1,5 +1,7 @@
 """The RIN exception-count engine and the gap-2 diagonal."""
 
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,8 @@ from gapperms import (
     rin,
 )
 from gapperms.inclusion_exclusion import partition_sum
+from gapperms.matsuo import _link
+from gapperms.tilings import _interval_weights
 
 from boards import cut_board
 
@@ -25,6 +29,23 @@ def rin_reference(n, a, b, mode):
     Position tilings may not span the link at a (intervals of [1..a] then
     [a+1..n]); value tilings must cut after b."""
     return partition_sum(cut_board(n, {a}), cut_board(n, {b}), n, mode)
+
+
+def link_reference(w, size, fact):
+    """The link table by its defining sum, L(w)[i][k] = sum_j C(i+j, i) w[j] (j+k)!,
+    as columns: out[k][i] = L(w)[i][k]."""
+    return [[sum(comb(i + j, i) * wj * fact[j + k] for j, wj in enumerate(w))
+             for i in range(size)] for k in range(size)]
+
+
+def test_link_recurrence_matches_defining_sum():
+    fact = [factorial(k) for k in range(2 * 12 + 31)]
+    for absolute in (False, True):
+        for length in range(31):
+            w = _interval_weights(length, absolute)
+            for size in range(13):
+                assert _link(w, size, fact) == link_reference(w, size, fact), \
+                    (length, absolute, size)
 
 
 def test_rin_examples():
@@ -65,6 +86,10 @@ def test_rin_matches_split_board_sum_beyond_oracle_reach():
         (21, 20, 1, SIGNED),
     ]:
         assert rin(n, a, b, mode) == rin_reference(n, a, b, mode)
+    # lopsided waivers: the link tables read factorials up to max(a + b, 2n - a - b)
+    for n, a, b in [(36, 1, 36), (36, 35, 1), (36, 3, 30), (40, 1, 2), (40, 39, 40)]:
+        for mode in (SIGNED, ABSOLUTE):
+            assert rin(n, a, b, mode) == rin_reference(n, a, b, mode), (n, a, b, mode)
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,7 +119,7 @@ def test_fast22_examples():
 def test_fast22_matches_partition_engine():
     for mode in (SIGNED, ABSOLUTE):
         spec = SequenceSpec(2, 2, mode)
-        for n in range(1, 13):
+        for n in [*range(1, 13), 29, 30]:  # h = 15 at both parities of n
             assert fast22(n, mode) == count(spec, n), (n, mode)
 
 
