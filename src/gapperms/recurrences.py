@@ -7,21 +7,29 @@ polynomials p_0 .. p_rho (constant term first) asserting
 
 for every applicable n.  Fitting is plain undetermined coefficients: set up
 the exact integer linear system over a window of known terms, find its
-nullspace by fraction-free (Bareiss) elimination over Python ints, and
-accept only a one-dimensional nullspace that also annihilates a held-out
-tail.  Neither floating point nor Fraction is used; a spurious approximate
-nullspace would defeat the whole point.
+nullspace, and accept only a one-dimensional nullspace whose operator also
+annihilates a held-out tail.  Neither floating point nor Fraction is used; a
+spurious approximate nullspace would defeat the whole point.
 
-A rank screen comes first: full column rank modulo SCREEN_PRIME proves that
-no operator fits (rank over Q >= rank mod p), the usual outcome of a grid
-cell.  Bareiss alone decides every other system, so an unlucky prime costs
-time, never an answer.
+The nullspace is found modulo the prime PRIME first, and certified:
+- Nullity 0 mod p proves nullity 0 over Q, because rank over Q >= rank mod p.
+- Otherwise each of the k kernel vectors mod p is rationally reconstructed,
+  scaled to integers and checked exactly against every row.  Each has 1 at
+  its own dependent column and 0 at the other k - 1, so k vectors that pass
+  are independent over Q, and the nullity over Q is at least k.  It is at
+  most k by the rank inequality, so it is exactly k.
+- If any reconstruction or check fails (an unlucky prime, or heights above
+  sqrt(p/2)), fraction-free (Bareiss) elimination over Python ints decides.
+So the prime can cost time, never an answer.
 """
 
+import struct
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, isqrt, lcm
+from operator import mul
 
-SCREEN_PRIME = 32749  # below 2**15, so a product of residues fits one 30-bit digit
+PRIME = 536870909  # 2**29 - 3: a product of two residues fits in 58 bits
+_SLOT = 2**64 - 1  # one packed residue per 64-bit slot
 
 
 @dataclass
@@ -105,33 +113,100 @@ class RecurrenceOperator:
         return sum(poly_eval(p, n) * terms[n - j] for j, p in enumerate(self.coeffs))
 
 
-def _full_rank_mod_p(rows: list, ncols: int) -> bool:
-    """Whether the rows have rank ncols mod p = SCREEN_PRIME; stops at the first
-    column without a pivot.  True proves nullity 0 over Q: a minor is nonzero."""
-    p = SCREEN_PRIME
-    mat = [[x % p for x in row] for row in rows]
-    for _ in range(ncols):
-        top = next((row for row in mat if row[0]), None)
-        if top is None:
-            return False
-        mat.remove(top)
-        inv = pow(top[0], -1, p)
-        top = [y * inv % p for y in top[1:]]
-        mat = [[(x - row[0] * y) % p for x, y in zip(row[1:], top)] for row in mat]
-    return True
+def _pack(residues) -> int:
+    return int.from_bytes(struct.pack(f"<{len(residues)}Q", *residues), "little")
+
+
+def _reduce(packed: int, n: int, p: int) -> list:
+    """The n slots of `packed`, each reduced mod p."""
+    return [x % p for x in struct.unpack(f"<{n}Q", packed.to_bytes(8 * n, "little"))]
+
+
+def _kernel_mod_p(rows: list, ncols: int) -> list:
+    """A basis of the kernel mod p = PRIME, as residue lists: one vector per
+    column that is a combination of the columns before it, with 1 at that
+    column and 0 at every other such column.
+
+    Elimination runs over the columns.  A column, and its coefficients over
+    the input columns, are each one int with a 64-bit slot per entry, so
+    subtracting a multiple of a basis column is one big-int multiply-add.
+    Basis slots are reduced and each addition adds less than (p-1)**2 to a
+    slot, so slots are reduced again only after `burst` additions, the most
+    that keep every slot below 2**64.
+    """
+    p = PRIME
+    burst = (2**64 - p) // (p - 1) ** 2
+    nrows = len(rows)
+    basis = []  # (pivot slot shift, column, coefficients), pivot residue 1
+    kernel = []
+    for j, col in enumerate(zip(*rows) if rows else [()] * ncols):
+        vec, coef, adds = _pack([x % p for x in col]), 1 << 64 * j, 0
+        for shift, b, b_coef in basis:
+            c = -(vec >> shift & _SLOT) % p
+            if c:
+                if adds == burst:
+                    vec, coef = _pack(_reduce(vec, nrows, p)), _pack(_reduce(coef, ncols, p))
+                    adds = 0
+                vec += c * b
+                coef += c * b_coef
+                adds += 1
+        residues = _reduce(vec, nrows, p)
+        pivot = next((i for i, x in enumerate(residues) if x), None)
+        if pivot is None:
+            kernel.append(_reduce(coef, ncols, p))
+        else:
+            inv = pow(residues[pivot], -1, p)
+            basis.append((64 * pivot, _pack([x * inv % p for x in residues]),
+                          _pack([x * inv % p for x in _reduce(coef, ncols, p)])))
+    return kernel
+
+
+def _rational(a: int, p: int, bound: int):
+    """(n, d) with n = a d mod p, |n| <= bound and 0 < d <= bound, or None
+    (Wang's rational reconstruction, by the extended Euclidean algorithm)."""
+    r0, r1, s0, s1 = p, a, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _lift(residues: list, rows: list):
+    """The integer vector whose ratios reconstruct `residues`, if it is an
+    exact kernel vector of the rows; else None."""
+    p = PRIME
+    bound = isqrt(p // 2)
+    fracs = [_rational(a, p, bound) for a in residues]
+    if None in fracs:
+        return None
+    scale = lcm(*(d for _, d in fracs))
+    vec = [n * (scale // d) for n, d in fracs]
+    if any(sum(map(mul, row, vec)) for row in rows):
+        return None
+    return vec
 
 
 def _kernel(rows: list, ncols: int):
-    """Nullity of the integer row system, and its integer kernel vector when
-    the nullity is 1 (else None).
+    """Nullity of the integer row system, and an integer kernel vector when
+    the nullity is 1 (else None): certified from the kernel mod PRIME, or
+    else decided by Bareiss elimination."""
+    vecs = []
+    for residues in _kernel_mod_p(rows, ncols):
+        vec = _lift(residues, rows)
+        if vec is None:
+            return _bareiss_kernel(rows, ncols)
+        vecs.append(vec)
+    return len(vecs), (vecs[0] if len(vecs) == 1 else None)
 
-    Past the rank screen, fraction-free (Bareiss) forward elimination: each
-    update divides by the previous pivot, and Sylvester's identity makes that
+
+def _bareiss_kernel(rows: list, ncols: int):
+    """_kernel by fraction-free (Bareiss) forward elimination: each update
+    divides by the previous pivot, and Sylvester's identity makes that
     division exact, so every entry stays an integer minor of the input.  The
     rank is the number of pivots.
     """
-    if _full_rank_mod_p(rows, ncols):
-        return 0, None
     mat = list(rows)
     pivot_cols = []
     prev = 1

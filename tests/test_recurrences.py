@@ -20,13 +20,14 @@ from gapperms import (
     riordan_sequence,
     verify,
 )
+from gapperms import recurrences
 from gapperms.recurrences import (
-    SCREEN_PRIME,
+    PRIME,
     InexactStepError,
     InsufficientTermsError,
     SingularLeadingTermError,
     UnderdeterminedError,
-    _full_rank_mod_p,
+    _bareiss_kernel,
     _kernel,
     _normalize,
     _rows,
@@ -214,34 +215,76 @@ def primitive(vec):
 
 
 def check_kernel_against_reference(rows, ncols):
+    """_kernel, and the Bareiss path on its own, against the Fraction basis."""
     basis = nullspace_reference(rows, ncols)
-    nullity, vec = _kernel(rows, ncols)
-    assert nullity == len(basis)
-    if nullity != 1:
-        assert vec is None
-        return None
-    # an inexact division anywhere in the elimination would break these
-    assert all(isinstance(x, int) for x in vec)
-    assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
-    assert primitive(vec) == primitive(basis[0])
-    return basis[0], vec
+    results = [kernel(rows, ncols) for kernel in (_kernel, _bareiss_kernel)]
+    for nullity, vec in results:
+        assert nullity == len(basis)
+        if nullity != 1:
+            assert vec is None
+            continue
+        # an inexact division anywhere in the elimination would break these
+        assert all(isinstance(x, int) for x in vec)
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+        assert primitive(vec) == primitive(basis[0])
+    return (basis[0], results[0][1]) if len(basis) == 1 else None
 
 
-@pytest.mark.parametrize("name, values", [
+GRID = [
     *((f"navarrete{s}", navarrete_recurrence(s, 44)) for s in (1, 2, 3)),
     ("riordan", riordan_sequence(44)),
-])
-def test_kernel_matches_fraction_reference_on_fit_grid(name, values):
-    terms = TermTable(1, values)
+]
+
+
+def grid_cells(values):
+    """The (order, degree) cells of the fit grid that `values` is long enough for."""
     for order in range(1, 9):
         for degree in range(4):
-            ncols = (order + 1) * (degree + 1)
-            if len(values) < ncols + order + 1 + 5:
-                continue  # fit refuses the cell before any elimination
-            found = check_kernel_against_reference(_rows(terms, order, degree, 5), ncols)
-            if found is not None:
-                ref, vec = found
-                assert _normalize(vec, order, degree) == _normalize(primitive(ref), order, degree)
+            if len(values) >= (order + 1) * (degree + 1) + order + 1 + 5:
+                yield order, degree
+
+
+@pytest.mark.parametrize("name, values", GRID)
+def test_kernel_matches_fraction_reference_on_fit_grid(name, values):
+    terms = TermTable(1, values)
+    for order, degree in grid_cells(values):
+        ncols = (order + 1) * (degree + 1)
+        found = check_kernel_against_reference(_rows(terms, order, degree, 5), ncols)
+        if found is not None:
+            ref, vec = found
+            assert _normalize(vec, order, degree) == _normalize(primitive(ref), order, degree)
+
+
+def fit_outcome(terms, order, degree):
+    try:
+        op = fit(terms, order, degree)
+    except UnderdeterminedError as exc:
+        return "underdetermined", exc.dimension
+    return op and op.coeffs
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Records each call of the Bareiss fallback made through _kernel."""
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return _bareiss_kernel(rows, ncols)
+
+    monkeypatch.setattr(recurrences, "_bareiss_kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 7])
+def test_fit_outcomes_do_not_depend_on_the_prime(monkeypatch, bareiss_calls, modulus):
+    cells = [(TermTable(1, values), order, degree)
+             for _, values in GRID for order, degree in grid_cells(values)]
+    expected = [fit_outcome(*cell) for cell in cells]
+    assert not bareiss_calls  # every grid cell is certified mod PRIME
+    monkeypatch.setattr(recurrences, "PRIME", modulus)
+    assert [fit_outcome(*cell) for cell in cells] == expected
+    assert bareiss_calls  # a tiny prime is unlucky somewhere, and Bareiss decides
 
 
 @st.composite
@@ -253,8 +296,8 @@ def int_matrices(draw):
     entry = st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12))
     rank = draw(st.integers(0, min(nrows, ncols)))
     base = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
-    rows = [[sum(draw(st.integers(-3, 3)) * b[c] for b in base) for c in range(ncols)]
-            for _ in range(nrows)]
+    weights = [[draw(st.integers(-3, 3)) for _ in base] for _ in range(nrows)]
+    rows = [[sum(w * b[c] for w, b in zip(ws, base)) for c in range(ncols)] for ws in weights]
     for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols)):
         for row in rows:
             row[c] = 0
@@ -278,16 +321,41 @@ def test_kernel_edge_cases():
     assert _kernel([], 1) == (1, [1])
     assert _kernel([[0, 0]], 2) == (2, None)
     assert _kernel([[2, 3]], 2) == (1, [-3, 2])
-    assert _kernel([[0, 5], [0, 7]], 2) == (1, [5, 0])  # first column never pivots
+    assert _kernel([[0, 5], [0, 7]], 2) == (1, [1, 0])  # first column never pivots
+    assert _bareiss_kernel([[0, 5], [0, 7]], 2) == (1, [5, 0])
     assert _kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
 
 
-def test_kernel_falls_back_to_bareiss_when_the_screen_prime_is_unlucky():
-    p = SCREEN_PRIME
-    assert _full_rank_mod_p([[1, 2], [3, 4], [5, 6]], 2)
-    assert not _full_rank_mod_p([[1, 2], [2, 4]], 2)
-    # full rank over Q, singular mod p: Bareiss still proves nullity 0
-    assert not _full_rank_mod_p([[p, 0], [0, 1]], 2)
+def test_kernel_falls_back_to_bareiss_when_the_screen_prime_is_unlucky(bareiss_calls):
+    p = PRIME
+    # certified mod p: full rank, and one exact kernel vector
+    assert _kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
+    assert _kernel([[1, 2], [2, 4]], 2) == (1, [-2, 1])
+    assert not bareiss_calls
+    # full rank over Q, singular mod p: the kernel vector mod p fails the
+    # exact check, and Bareiss proves nullity 0
     assert _kernel([[p, 0], [0, 1]], 2) == (0, None)
     # nullity 2 mod p but 1 over Q: Bareiss finds the one kernel vector
     assert _kernel([[p, 0, 0], [0, 1, 0]], 3) == (1, [0, 0, p])
+    assert len(bareiss_calls) == 2
+
+
+def test_kernel_falls_back_to_bareiss_above_the_reconstruction_bound(bareiss_calls):
+    rows = [[1, -(2**20 + 1)]]  # kernel (2**20 + 1, 1): a height above sqrt(p/2)
+    assert _kernel(rows, 2) == _bareiss_kernel(rows, 2) == (1, [2**20 + 1, 1])
+    assert len(bareiss_calls) == 1
+
+
+def test_kernel_reduces_slots_between_bursts(bareiss_calls):
+    # Column i has 1 in row i and -1 below it; the last column is their sum,
+    # so reducing it takes 70 multiply-adds of (p - 1) times residues p - 1,
+    # more than one burst.  Without the periodic reduction a slot carries into
+    # the zero row below it, and the dependent column would look independent.
+    size = 70
+    assert size * (PRIME - 1) ** 2 > 2**64
+    rows = [[1 if c == r else -1 if c < r else 0 for c in range(size)] + [1 - r]
+            for r in range(size)] + [[0] * (size + 1)]
+    nullity, vec = _kernel(rows, size + 1)
+    assert not bareiss_calls
+    assert nullity == 1 and vec == [-1] * size + [1]
+    assert _bareiss_kernel(rows, size + 1) == (1, [-1] * size + [1])
