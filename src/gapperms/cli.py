@@ -183,11 +183,7 @@ def cmd_tilings(args) -> int:
 
 def cmd_fit(args) -> int:
     table = read_bfile(args.bfile)
-    try:
-        op = recurrences.fit(table, args.order, args.degree, args.holdout)
-    except recurrences.UnderdeterminedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    op = recurrences.fit(table, args.order, args.degree, args.holdout)
     if op is None:
         print(
             f"no recurrence of order {args.order}, degree {args.degree} fits",
@@ -214,11 +210,7 @@ def cmd_extend(args) -> int:
     with open(args.opfile) as fh:
         op, _ = recurrences.parse_operator(fh.read())
     seeds = read_bfile(args.bfile)
-    try:
-        table = recurrences.extend(op, seeds, args.n)
-    except (recurrences.SingularLeadingTermError, recurrences.InexactStepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    table = recurrences.extend(op, seeds, args.n)
     _emit(_bfile_text(table.values, table.offset), args.out)
     return 0
 
@@ -300,6 +292,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (recurrences.UnderdeterminedError, recurrences.SingularLeadingTermError,
+            recurrences.InexactStepError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
     tables = [[w_1[n - w - 2 * a] * w_2[a] for a in range((n - w) // 2 + 1)]
               for w in range(n + 1)]
     fields = [(i, width, (1 << width) - 1, weights(i))
-              for i, width in enumerate(_widths(n)[2:], start=3)]
+              for i, width in enumerate(_widths(n), start=3)]
     slot, mask = n + 1, (1 << n + 1) - 1
     total = 0
     for key, va in pa.items():
@@ -82,7 +82,8 @@ def count(spec: SequenceSpec, n: int) -> int:
 
 
 def sequence(spec: SequenceSpec, n_max: int) -> list:
-    """Terms for n = 1..n_max; no enumerator is shared across n (slots are sized by n)."""
+    """Terms for n = 1..n_max.  Boards are sized by n (slot width n + 1, field
+    widths n // i), so none is shared across n; the cache keeps the last two."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return [count(spec, n) for n in range(1, n_max + 1)]

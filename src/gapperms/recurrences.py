@@ -127,37 +127,36 @@ def _kernel_mod_p(rows: list, ncols: int) -> list:
     column that is a combination of the columns before it, with 1 at that
     column and 0 at every other such column.
 
-    Elimination runs over the columns.  A column, and its coefficients over
-    the input columns, are each one int with a 64-bit slot per entry, so
-    subtracting a multiple of a basis column is one big-int multiply-add.
-    Basis slots are reduced and each addition adds less than (p-1)**2 to a
-    slot, so slots are reduced again only after `burst` additions, the most
-    that keep every slot below 2**64.
+    Elimination runs over the columns.  Column j is one int with a 64-bit
+    slot per entry: its nrows entries, then ncols coefficient slots that
+    start as e_j and track it as a combination of the input columns.  So
+    subtracting a multiple of a basis column is one big-int multiply-add for
+    both parts.  Basis slots are reduced and each addition adds less than
+    (p-1)**2 to a slot, so slots are reduced again only after `burst`
+    additions, the most that keep every slot below 2**64.
     """
     p = PRIME
     burst = (2**64 - p) // (p - 1) ** 2
     nrows = len(rows)
-    basis = []  # (pivot slot shift, column, coefficients), pivot residue 1
+    size = nrows + ncols
+    basis = []  # (pivot slot shift, column), pivot residue 1
     kernel = []
     for j, col in enumerate(zip(*rows) if rows else [()] * ncols):
-        vec, coef, adds = _pack([x % p for x in col]), 1 << 64 * j, 0
-        for shift, b, b_coef in basis:
+        vec, adds = _pack([x % p for x in col]) | 1 << 64 * (nrows + j), 0
+        for shift, b in basis:
             c = -(vec >> shift & _SLOT) % p
             if c:
                 if adds == burst:
-                    vec, coef = _pack(_reduce(vec, nrows, p)), _pack(_reduce(coef, ncols, p))
-                    adds = 0
+                    vec, adds = _pack(_reduce(vec, size, p)), 0
                 vec += c * b
-                coef += c * b_coef
                 adds += 1
-        residues = _reduce(vec, nrows, p)
-        pivot = next((i for i, x in enumerate(residues) if x), None)
+        residues = _reduce(vec, size, p)
+        pivot = next((i for i, x in enumerate(residues[:nrows]) if x), None)
         if pivot is None:
-            kernel.append(_reduce(coef, ncols, p))
+            kernel.append(residues[nrows:])
         else:
             inv = pow(residues[pivot], -1, p)
-            basis.append((64 * pivot, _pack([x * inv % p for x in residues]),
-                          _pack([x * inv % p for x in _reduce(coef, ncols, p)])))
+            basis.append((64 * pivot, _pack([x * inv % p for x in residues])))
     return kernel
 
 

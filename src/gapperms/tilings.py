@@ -20,15 +20,16 @@ That factorization is the production path; a direct position-by-position
 scan of the board is kept as an independent cross-check.
 
 Internally the enumerator of a board with n cells is slotted.  A key is
-the packed int of a monomial's parts >= 3: `pack` gives part size i a bit
-field of width (n // i).bit_length(), and the key drops the a_1 and a_2
-fields from its bottom.  Each a_i on the board is at most n // i, so adding
-keys never carries.  The value is one int, sum c << (a_2 * W) with slot
-width W = n + 1, and a_1 = n - 2 a_2 - (weight of the parts >= 3) is
-implied.  So one big-int product multiplies whole a_2 polynomials, and no
-slot carries: a slot of a partial product counts tilings of part of the
-board, which has at most 2^(n-1) < 2^W of them.  tiling_polynomial,
-coefficient and format_polynomial keep tuple keys at the API boundary.
+the packed int of a monomial's parts >= 3: `pack` gives part size i >= 3 a
+bit field of width (n // i).bit_length(), part 3 at the bottom.  Each a_i
+on the board is at most n // i, so adding keys never carries.  The value is
+one int, sum c << (a_2 * W) with slot width W = n + 1, and
+a_1 = n - 2 a_2 - (weight of the parts >= 3) is implied.  So one big-int
+product multiplies whole a_2 polynomials, and no slot carries: a slot of a
+partial product counts tilings of part of the board, which has at most
+2^(n-1) < 2^W of them.  A board is sized by its n, so the board cache
+keeps only the two that one count reads.  tiling_polynomial, coefficient
+and format_polynomial keep tuple keys at the API boundary.
 """
 
 from dataclasses import dataclass
@@ -74,29 +75,29 @@ def _bump(freqs: tuple, size: int) -> tuple:
 
 @lru_cache(maxsize=512)
 def _widths(n: int) -> tuple:
-    """Bit-field widths of part sizes 1..n in the packed layout of board n."""
-    return tuple((n // i).bit_length() for i in range(1, n + 1))
+    """Bit-field widths of part sizes 3..n in the packed layout of board n."""
+    return tuple((n // i).bit_length() for i in range(3, n + 1))
 
 
-def pack(freqs, n: int) -> int:
-    """Packed key of the frequency vector `freqs` on a board with n cells.
-    Each a_i must lie in 0..n // i."""
+def pack(high, n: int) -> int:
+    """Packed key of the parts >= 3, high = (a_3, a_4, ...), on a board with
+    n cells.  Each a_i must lie in 0..n // i."""
     key = shift = 0
-    for a, width in zip(freqs, _widths(n)):
+    for a, width in zip(high, _widths(n)):
         key |= a << shift
         shift += width
     return key
 
 
 def unpack(key: int, n: int) -> tuple:
-    """Frequency vector of a packed key of board n, trailing zeros trimmed."""
-    freqs = []
+    """(a_3, a_4, ...) of a packed key of board n, trailing zeros trimmed."""
+    high = []
     for width in _widths(n):
         if not key:
             break
-        freqs.append(key & ((1 << width) - 1))
+        high.append(key & ((1 << width) - 1))
         key >>= width
-    return tuple(freqs)  # trimmed: the last field read held the top set bit
+    return tuple(high)  # trimmed: the last field read held the top set bit
 
 
 def _multiply(p: dict, q: dict) -> dict:
@@ -125,19 +126,13 @@ def _check_board(gap: int, n: int):
         raise ValueError("n must be >= 0")
 
 
-def _slot(freqs: tuple, n: int) -> tuple:
-    """Where the monomial `freqs` of board n is kept: the slotted key (its
-    packed parts >= 3) and the shift a_2 * (n + 1) of its slot."""
-    return pack(freqs, n) >> sum(_widths(n)[:2]), sum(freqs[1:2]) * (n + 1)
-
-
 def _interval_factor(length: int, n: int) -> dict:
     """Slotted enumerator of an interval of `length` cells on board n.  Each
     partition of at most `length` into parts >= 3 (b parts, den = prod a_i!,
     rest cells left) is a key, whose slot a_2 holds the multinomial
     (a_1 + a_2 + b)! / (a_1! a_2! den) with a_1 = rest - 2 a_2."""
     fact = [factorial(k) for k in range(length + 1)]
-    shifts = list(accumulate(_widths(n)[2:], initial=0))  # part i at shifts[i - 3]
+    shifts = list(accumulate(_widths(n), initial=0))  # part i at shifts[i - 3]
     out = {}
 
     def walk(low, key, b, rest, den):
@@ -151,7 +146,7 @@ def _interval_factor(length: int, n: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # a board serves one n; a count reads at most two
 def _tiling_terms(gap: int, n: int) -> dict:
     """Shared, cached slotted term dict of board n. Treat as read-only."""
     return _board(gap, n, lambda size: _interval_factor(size, n))
@@ -160,10 +155,10 @@ def _tiling_terms(gap: int, n: int) -> dict:
 def tiling_polynomial(r: int, n: int) -> TilingPolynomial:
     """Weight enumerator of gap-r tilings of {1..n} (residue factorization)."""
     _check_board(r, n)
-    low, mask = sum(_widths(n)[:2]), (1 << n + 1) - 1
+    mask = (1 << n + 1) - 1
     terms = {}
     for key, slots in _tiling_terms(r, n).items():
-        high = unpack(key << low, n)[2:]
+        high = unpack(key, n)
         a_1, a_2 = n - partition_weight((0, 0) + high), 0
         while slots:
             if slots & mask:
@@ -219,8 +214,8 @@ def coefficient(r: int, n: int, freqs) -> int:
     key = trim(freqs)
     if partition_weight(key) != n or min(key, default=0) < 0:
         raise ValueError(f"{tuple(freqs)} is not a partition of {n}")
-    key, shift = _slot(key, n)
-    return _tiling_terms(r, n).get(key, 0) >> shift & ((1 << n + 1) - 1)
+    slots = _tiling_terms(r, n).get(pack(key[2:], n), 0)
+    return slots >> sum(key[1:2]) * (n + 1) & ((1 << n + 1) - 1)
 
 
 def _interval_profile(length: int) -> dict:

@@ -332,6 +332,17 @@ def test_fit_refusal_names_bound(tmp_path, capsys):
     assert "9" in err
 
 
+def test_fit_underdetermined_exits_one(tmp_path, capsys):
+    bfile = tmp_path / "ones.txt"
+    bfile.write_text("".join(f"{n} 1\n" for n in range(1, 21)))
+    opfile = tmp_path / "ones.op"
+    # p_0 + p_1 + p_2 = 0 is two conditions on six coefficients
+    rc, out, err = run(capsys, "fit", "--bfile", str(bfile), "--order", "2",
+                       "--degree", "1", "--opfile", str(opfile))
+    assert (rc, out, err) == (1, "", "error: underdetermined: nullspace has dimension 4\n")
+    assert not opfile.exists()
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     bfile = tmp_path / "b.txt"
     bfile.write_text("1 1\n2 2\n3 4\n4 9\n")
@@ -389,6 +400,18 @@ def test_extend_inexact_reports_error(tmp_path, capsys):
     assert rc == 1
     assert stdout == ""
     assert "not an integer" in err
+
+
+def test_extend_singular_leading_term_exits_one(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("1 1\n2 1\n")
+    opfile = tmp_path / "op.txt"
+    opfile.write_text("1 1 1\n-3 1\n-1\n")  # (n - 3) t(n) = t(n-1)
+    out = tmp_path / "ext.txt"
+    rc, stdout, err = run(capsys, "extend", "--opfile", str(opfile), "--bfile",
+                          str(seeds), "--n", "5", "--out", str(out))
+    assert (rc, stdout, err) == (1, "", "error: p_0(3) = 0; cannot solve for t(3)\n")
+    assert not out.exists()
 
 
 def test_bench_runs(capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, count, sequence
 from gapperms.inclusion_exclusion import partition_sum
-from gapperms.tilings import coefficient, trim
+from gapperms.tilings import _tiling_terms, coefficient, trim
 
 from boards import cut_board, interval_terms
 
@@ -115,6 +115,12 @@ def test_sequence_wrapper():
     assert sequence(spec, 6) == [count(spec, n) for n in range(1, 7)]
     with pytest.raises(ValueError):
         sequence(spec, 0)
+
+
+def test_sequence_keeps_at_most_two_boards():
+    # a board is sized by its n, so boards of earlier n are never read again
+    sequence(SequenceSpec(2, 3, SIGNED), 12)
+    assert _tiling_terms.cache_info().currsize <= 2
 
 
 def tuple_cut_board(n, cuts):

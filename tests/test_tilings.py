@@ -14,7 +14,6 @@ from gapperms import (
 from gapperms.tilings import (
     _interval_factor,
     _interval_weights,
-    _slot,
     _tiling_terms,
     _widths,
     pack,
@@ -123,7 +122,7 @@ def test_interval_tilings_are_compositions():
         for n in (length, 2 * length + 3):
             want = {}
             for mono, count in interval_terms(length).items():
-                key, shift = _slot(mono, n)
+                key, shift = pack(mono[2:], n), sum(mono[1:2]) * (n + 1)
                 want[key] = want.get(key, 0) + (count << shift)
             assert _interval_factor(length, n) == want, (length, n)
 
@@ -189,20 +188,26 @@ def monomials_within(data, n, label):
 def test_pack_round_trip_and_addition(data, n):
     a, wa = monomials_within(data, n, "a")
     b, _ = monomials_within(data, n - wa, "b")
-    assert unpack(pack(a, n), n) == a
-    total = [x + y for x, y in zip(a + (0,) * n, b + (0,) * n)]
-    assert unpack(pack(a, n) + pack(b, n), n) == trim(total)
+    high_a, high_b = a[2:], b[2:]  # a key packs (a_3, a_4, ...)
+    assert unpack(pack(high_a, n), n) == high_a
+    total = [x + y for x, y in zip(high_a + (0,) * n, high_b + (0,) * n)]
+    assert unpack(pack(high_a, n) + pack(high_b, n), n) == trim(total)
 
 
 @pytest.mark.parametrize("n", [2 ** k for k in range(7)] + [2 ** k - 1 for k in range(1, 7)])
 def test_pack_fields_at_powers_of_two(n):
     widths = _widths(n)
-    ones = pack((n,), n)
-    assert unpack(ones, n) == (n,)
-    assert ones < 1 << widths[0]  # a_1 = n fits its own field
-    if n == 2 ** widths[0] - 1:
-        assert ones == (1 << widths[0]) - 1  # and fills it
-    whole = (0,) * (n - 1) + (1,)
+    assert len(widths) == max(n - 2, 0)  # parts 3..n; a_1 and a_2 get no field
+    for i in range(3, n + 1):
+        most = (0,) * (i - 3) + (n // i,)  # the most parts of size i
+        assert unpack(pack(most, n), n) == most
+        assert pack(most, n) < 1 << sum(widths[:i - 2])  # below the next field
+    if n < 3:
+        assert pack((), n) == 0 and unpack(0, n) == ()
+        return
+    if n // 3 == 2 ** widths[0] - 1:
+        assert pack((n // 3,), n) == (1 << widths[0]) - 1  # a_3 fills its field
+    whole = (0,) * (n - 3) + (1,)
     assert pack(whole, n) == 1 << sum(widths[:-1])
     assert unpack(pack(whole, n), n) == whole
 
