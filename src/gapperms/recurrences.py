@@ -11,13 +11,16 @@ nullspace, and accept only a one-dimensional nullspace whose operator also
 annihilates a held-out tail.  Neither floating point nor Fraction is used; a
 spurious approximate nullspace would defeat the whole point.
 
-The nullspace is found modulo the prime PRIME first, and certified:
-- Nullity 0 mod p proves nullity 0 over Q, because rank over Q >= rank mod p.
-- Otherwise each of the k kernel vectors mod p is rationally reconstructed,
-  scaled to integers and checked exactly against every row.  Each has 1 at
-  its own dependent column and 0 at the other k - 1, so k vectors that pass
-  are independent over Q, and the nullity over Q is at least k.  It is at
-  most k by the rank inequality, so it is exactly k.
+The nullspace is found modulo the prime PRIME first, from window columns
+built out of t(n) mod p and n mod p, and certified:
+- Nullity 0 mod p proves nullity 0 over Q (rank over Q >= rank mod p), and
+  the exact window is never built.
+- Else the k kernel vectors mod p are rationally reconstructed, scaled to
+  integers and checked exactly against every row, all k in one dot product
+  per row (vector i in slot i, bits(max |row entry|) + bits(max |vector
+  entry|) + bits(ncols) + 1 bits wide).  Each has 1 at its own dependent
+  column and 0 at the other k - 1, so if all pass the nullity over Q is
+  >= k, and it is <= k by the rank inequality.
 - If any reconstruction or check fails (an unlucky prime, or heights above
   sqrt(p/2)), fraction-free (Bareiss) elimination over Python ints decides.
 So the prime can cost time, never an answer.
@@ -25,6 +28,7 @@ So the prime can cost time, never an answer.
 
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -122,41 +126,37 @@ def _reduce(packed: int, n: int, p: int) -> list:
     return [x % p for x in struct.unpack(f"<{n}Q", packed.to_bytes(8 * n, "little"))]
 
 
-def _kernel_mod_p(rows: list, ncols: int) -> list:
-    """A basis of the kernel mod p = PRIME, as residue lists: one vector per
-    column that is a combination of the columns before it, with 1 at that
-    column and 0 at every other such column.
-
-    Elimination runs over the columns.  Column j is one int with a 64-bit
-    slot per entry: its nrows entries, then ncols coefficient slots that
-    start as e_j and track it as a combination of the input columns.  So
-    subtracting a multiple of a basis column is one big-int multiply-add for
-    both parts.  Basis slots are reduced and each addition adds less than
-    (p-1)**2 to a slot, so slots are reduced again only after `burst`
-    additions, the most that keep every slot below 2**64.
-    """
+def _kernel_mod_p(cols: list) -> list:
+    """A basis of the kernel mod p = PRIME of the residue columns `cols`: one
+    residue list per column that is a combination of the columns before it,
+    with 1 at that column and 0 at every other such column.  Column j is one
+    int with a 64-bit slot per entry: its nrows entries, then ncols slots that
+    start as e_j, so subtracting a multiple of a basis column is one big-int
+    multiply-add.  Basis columns are reduced, not normalized, and kept with
+    the inverse of their pivot (the lowest nonzero row slot).  An addition
+    adds under (p-1)**2 to a slot, so slots are reduced again only after
+    `burst` additions, the most that keep every slot below 2**64."""
     p = PRIME
     burst = (2**64 - p) // (p - 1) ** 2
-    nrows = len(rows)
-    size = nrows + ncols
-    basis = []  # (pivot slot shift, column), pivot residue 1
-    kernel = []
-    for j, col in enumerate(zip(*rows) if rows else [()] * ncols):
-        vec, adds = _pack([x % p for x in col]) | 1 << 64 * (nrows + j), 0
-        for shift, b in basis:
-            c = -(vec >> shift & _SLOT) % p
+    nrows = len(cols[0])
+    size = nrows + len(cols)
+    row_part = (1 << 64 * nrows) - 1
+    basis, kernel = [], []  # basis: (pivot slot shift, pivot inverse, column)
+    for j, col in enumerate(cols):
+        vec, adds = _pack(col) | 1 << 64 * (nrows + j), 0
+        for shift, inv, b in basis:
+            c = -(vec >> shift & _SLOT) * inv % p
             if c:
                 if adds == burst:
                     vec, adds = _pack(_reduce(vec, size, p)), 0
                 vec += c * b
                 adds += 1
-        residues = _reduce(vec, size, p)
-        pivot = next((i for i, x in enumerate(residues[:nrows]) if x), None)
-        if pivot is None:
-            kernel.append(residues[nrows:])
+        vec = _pack(residues := _reduce(vec, size, p))
+        if rest := vec & row_part:
+            shift = (rest & -rest).bit_length() - 1 & -64
+            basis.append((shift, pow(vec >> shift & _SLOT, -1, p), vec))
         else:
-            inv = pow(residues[pivot], -1, p)
-            basis.append((64 * pivot, _pack([x * inv % p for x in residues])))
+            kernel.append(residues[nrows:])
     return kernel
 
 
@@ -172,31 +172,31 @@ def _rational(a: int, p: int, bound: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _lift(residues: list, rows: list):
-    """The integer vector whose ratios reconstruct `residues`, if it is an
-    exact kernel vector of the rows; else None."""
+def _annihilates(rows: list, vecs: list) -> bool:
+    """Whether row . v == 0 for all rows and vectors.  Vector i fills slot i,
+    B bits wide: a nonzero |row . v_i| < 2**(B-1) cannot cancel higher slots."""
+    width = (max(map(abs, chain(*rows)), default=0).bit_length()
+             + max(map(abs, chain(*vecs))).bit_length() + len(vecs[0]).bit_length() + 1)
+    packed = [sum(x << width * i for i, x in enumerate(col)) for col in zip(*vecs)]
+    return not any(sum(map(mul, row, packed)) for row in rows)
+
+
+def _kernel(cols: list, exact_rows):
+    """Nullity of an integer system and, when it is 1, a kernel vector (else
+    None), from its residue columns; `exact_rows()` only certifies a nonempty
+    kernel mod PRIME or feeds the Bareiss fallback."""
     p = PRIME
     bound = isqrt(p // 2)
-    fracs = [_rational(a, p, bound) for a in residues]
-    if None in fracs:
-        return None
-    scale = lcm(*(d for _, d in fracs))
-    vec = [n * (scale // d) for n, d in fracs]
-    if any(sum(map(mul, row, vec)) for row in rows):
-        return None
-    return vec
-
-
-def _kernel(rows: list, ncols: int):
-    """Nullity of the integer row system, and an integer kernel vector when
-    the nullity is 1 (else None): certified from the kernel mod PRIME, or
-    else decided by Bareiss elimination."""
-    vecs = []
-    for residues in _kernel_mod_p(rows, ncols):
-        vec = _lift(residues, rows)
-        if vec is None:
-            return _bareiss_kernel(rows, ncols)
-        vecs.append(vec)
+    kernel = [[_rational(a, p, bound) for a in vec] for vec in _kernel_mod_p(cols)]
+    if not kernel:
+        return 0, None
+    rows = exact_rows()
+    if any(None in fracs for fracs in kernel):
+        return _bareiss_kernel(rows, len(cols))
+    vecs = [[n * (scale // d) for n, d in fracs]
+            for fracs in kernel for scale in (lcm(*(d for _, d in fracs)),)]
+    if not _annihilates(rows, vecs):
+        return _bareiss_kernel(rows, len(cols))
     return len(vecs), (vecs[0] if len(vecs) == 1 else None)
 
 
@@ -220,9 +220,8 @@ def _bareiss_kernel(rows: list, ncols: int):
         for i in range(r + 1, len(mat)):
             row, f = mat[i], mat[i][col]
             # entries left of col are already zero in both rows
-            mat[i] = [0] * (col + 1) + [
-                (p * x - f * y) // prev for x, y in zip(row[col + 1:], top[col + 1:])
-            ]
+            mat[i] = [0] * (col + 1) + [(p * x - f * y) // prev
+                                        for x, y in zip(row[col + 1:], top[col + 1:])]
         prev = p
         pivot_cols.append(col)
     nullity = ncols - len(pivot_cols)
@@ -239,13 +238,10 @@ def _bareiss_kernel(rows: list, ncols: int):
 
 
 def _normalize(vec: list, order: int, degree: int) -> list:
-    content = gcd(*vec)
-    ints = [x // content for x in vec]
-    coeffs = [ints[j * (degree + 1):(j + 1) * (degree + 1)] for j in range(order + 1)]
-    lead = _trim(coeffs[0])
-    if lead and lead[-1] < 0:
-        coeffs = [[-c for c in p] for p in coeffs]
-    return coeffs
+    lead = _trim(vec[:degree + 1])
+    content = -gcd(*vec) if lead and lead[-1] < 0 else gcd(*vec)  # p_0 leads positive
+    w = degree + 1
+    return [[x // content for x in vec[j * w:(j + 1) * w]] for j in range(order + 1)]
 
 
 def _rows(terms: TermTable, order: int, degree: int, holdout: int) -> list:
@@ -254,6 +250,21 @@ def _rows(terms: TermTable, order: int, degree: int, holdout: int) -> list:
     return [[x * t[i - j] for j in range(order + 1) for x in powers]
             for i in range(order, len(t) - holdout)
             for powers in ([(terms.offset + i) ** e for e in range(degree + 1)],)]
+
+
+def _residue_columns(terms: TermTable, order: int, degree: int, holdout: int) -> list:
+    """The columns of the fit window mod PRIME, in `_rows` order, from t mod p
+    and n mod p: column (j, e+1) is column (j, e) times n, slot by slot."""
+    p = PRIME
+    t = [x % p for x in terms.values]
+    stop = len(t) - holdout
+    ns = [(terms.offset + i) % p for i in range(order, stop)]
+    cols = []
+    for j in range(order + 1):
+        cols.append(t[order - j:stop - j])
+        for _ in range(degree):
+            cols.append([x * n % p for x, n in zip(cols[-1], ns)])
+    return cols
 
 
 def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
@@ -272,12 +283,11 @@ def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
     if n_values < bound + holdout:
         raise InsufficientTermsError(
             f"need at least (order+1)(degree+1)+order+1 = {bound} terms "
-            f"plus holdout={holdout} (total {bound + holdout}); got {n_values}"
-        )
+            f"plus holdout={holdout} (total {bound + holdout}); got {n_values}")
     if all(v == 0 for v in terms.values):
         raise ValueError("degenerate input: all terms are zero")
-
-    nullity, vec = _kernel(_rows(terms, order, degree, holdout), (order + 1) * (degree + 1))
+    nullity, vec = _kernel(_residue_columns(terms, order, degree, holdout),
+                           lambda: _rows(terms, order, degree, holdout))
     if nullity == 0:
         return None
     if nullity > 1:
@@ -296,13 +306,8 @@ def verify(op: RecurrenceOperator, terms: TermTable):
     at every applicable index."""
     start = terms.offset + op.order
     if start > terms.last:
-        raise ValueError(
-            f"need at least {op.order + 1} consecutive terms to verify"
-        )
-    for n in range(start, terms.last + 1):
-        if op.apply(terms, n) != 0:
-            return n
-    return None
+        raise ValueError(f"need at least {op.order + 1} consecutive terms to verify")
+    return next((n for n in range(start, terms.last + 1) if op.apply(terms, n)), None)
 
 
 def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
@@ -317,15 +322,12 @@ def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
         p0 = poly_eval(op.coeffs[0], n)
         if p0 == 0:
             raise SingularLeadingTermError(f"p_0({n}) = 0; cannot solve for t({n})")
-        acc = sum(
-            poly_eval(op.coeffs[j], n) * values[n - j - seeds.offset]
-            for j in range(1, op.order + 1)
-        )
+        acc = sum(poly_eval(op.coeffs[j], n) * values[n - j - seeds.offset]
+                  for j in range(1, op.order + 1))
         q, rem = divmod(-acc, p0)
         if rem:
-            raise InexactStepError(
-                f"t({n}) is not an integer; operator and seeds are inconsistent"
-            )
+            raise InexactStepError(f"t({n}) is not an integer; "
+                                   "operator and seeds are inconsistent")
         values.append(q)
     return TermTable(seeds.offset, values[:n_max - seeds.offset + 1])
 
@@ -333,10 +335,8 @@ def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
 def format_operator(op: RecurrenceOperator, offset: int = 1) -> str:
     """Stable text form: header "order degree offset", then one line of
     space-separated constant-first integers per coefficient polynomial."""
-    lines = [f"{op.order} {op.degree} {offset}"]
-    for p in op.coeffs:
-        lines.append(" ".join(str(c) for c in (p or [0])))
-    return "\n".join(lines) + "\n"
+    lines = [" ".join(str(c) for c in (p or [0])) for p in op.coeffs]
+    return "\n".join([f"{op.order} {op.degree} {offset}", *lines]) + "\n"
 
 
 def parse_operator(text: str):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +28,12 @@ from gapperms.recurrences import (
     InsufficientTermsError,
     SingularLeadingTermError,
     UnderdeterminedError,
+    _annihilates,
     _bareiss_kernel,
     _kernel,
+    _kernel_mod_p,
     _normalize,
+    _residue_columns,
     _rows,
 )
 
@@ -214,10 +218,18 @@ def primitive(vec):
     return [-x for x in ints] if next(x for x in ints if x) < 0 else ints
 
 
+def row_kernel(rows, ncols):
+    """_kernel on an integer matrix: its columns reduced mod PRIME (as patched
+    at call time), with the rows themselves as the exact system."""
+    p = recurrences.PRIME
+    cols = [[x % p for x in col] for col in zip(*rows)] if rows else [[] for _ in range(ncols)]
+    return _kernel(cols, lambda: rows)
+
+
 def check_kernel_against_reference(rows, ncols):
     """_kernel, and the Bareiss path on its own, against the Fraction basis."""
     basis = nullspace_reference(rows, ncols)
-    results = [kernel(rows, ncols) for kernel in (_kernel, _bareiss_kernel)]
+    results = [kernel(rows, ncols) for kernel in (row_kernel, _bareiss_kernel)]
     for nullity, vec in results:
         assert nullity == len(basis)
         if nullity != 1:
@@ -318,31 +330,31 @@ def test_kernel_matches_fraction_reference_on_random_matrices(matrix):
 
 
 def test_kernel_edge_cases():
-    assert _kernel([], 1) == (1, [1])
-    assert _kernel([[0, 0]], 2) == (2, None)
-    assert _kernel([[2, 3]], 2) == (1, [-3, 2])
-    assert _kernel([[0, 5], [0, 7]], 2) == (1, [1, 0])  # first column never pivots
+    assert row_kernel([], 1) == (1, [1])
+    assert row_kernel([[0, 0]], 2) == (2, None)
+    assert row_kernel([[2, 3]], 2) == (1, [-3, 2])
+    assert row_kernel([[0, 5], [0, 7]], 2) == (1, [1, 0])  # first column never pivots
     assert _bareiss_kernel([[0, 5], [0, 7]], 2) == (1, [5, 0])
-    assert _kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
+    assert row_kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
 
 
 def test_kernel_falls_back_to_bareiss_when_the_screen_prime_is_unlucky(bareiss_calls):
     p = PRIME
     # certified mod p: full rank, and one exact kernel vector
-    assert _kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
-    assert _kernel([[1, 2], [2, 4]], 2) == (1, [-2, 1])
+    assert row_kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
+    assert row_kernel([[1, 2], [2, 4]], 2) == (1, [-2, 1])
     assert not bareiss_calls
     # full rank over Q, singular mod p: the kernel vector mod p fails the
     # exact check, and Bareiss proves nullity 0
-    assert _kernel([[p, 0], [0, 1]], 2) == (0, None)
+    assert row_kernel([[p, 0], [0, 1]], 2) == (0, None)
     # nullity 2 mod p but 1 over Q: Bareiss finds the one kernel vector
-    assert _kernel([[p, 0, 0], [0, 1, 0]], 3) == (1, [0, 0, p])
+    assert row_kernel([[p, 0, 0], [0, 1, 0]], 3) == (1, [0, 0, p])
     assert len(bareiss_calls) == 2
 
 
 def test_kernel_falls_back_to_bareiss_above_the_reconstruction_bound(bareiss_calls):
     rows = [[1, -(2**20 + 1)]]  # kernel (2**20 + 1, 1): a height above sqrt(p/2)
-    assert _kernel(rows, 2) == _bareiss_kernel(rows, 2) == (1, [2**20 + 1, 1])
+    assert row_kernel(rows, 2) == _bareiss_kernel(rows, 2) == (1, [2**20 + 1, 1])
     assert len(bareiss_calls) == 1
 
 
@@ -355,7 +367,127 @@ def test_kernel_reduces_slots_between_bursts(bareiss_calls):
     assert size * (PRIME - 1) ** 2 > 2**64
     rows = [[1 if c == r else -1 if c < r else 0 for c in range(size)] + [1 - r]
             for r in range(size)] + [[0] * (size + 1)]
-    nullity, vec = _kernel(rows, size + 1)
+    nullity, vec = row_kernel(rows, size + 1)
     assert not bareiss_calls
     assert nullity == 1 and vec == [-1] * size + [1]
     assert _bareiss_kernel(rows, size + 1) == (1, [-1] * size + [1])
+
+
+@pytest.mark.parametrize("modulus", [PRIME, 7])
+def test_residue_columns_reduce_the_exact_window(monkeypatch, modulus):
+    monkeypatch.setattr(recurrences, "PRIME", modulus)
+    signed = [(-3) ** i + i for i in range(30)]
+    for values in (riordan_sequence(30), signed):
+        # the last window runs through n = modulus, where n^0 = 1 and n^e = 0 after
+        for offset in (1, 0, -3, modulus - 10):
+            terms = TermTable(offset, values)
+            for order in range(4):
+                for degree in range(4):
+                    for holdout in (0, 5):
+                        exact = _rows(terms, order, degree, holdout)
+                        assert _residue_columns(terms, order, degree, holdout) == [
+                            [x % modulus for x in col] for col in zip(*exact)]
+
+
+def test_fit_near_the_prime_agrees_with_bareiss(monkeypatch, bareiss_calls):
+    # n runs through PRIME; the operators' coefficients shift by about PRIME,
+    # so a reconstruction from residues can look right and still be wrong
+    fib = [1, 1]
+    while len(fib) < 40:
+        fib.append(fib[-1] + fib[-2])
+    cells = [(TermTable(PRIME - 10, values), order, degree)
+             for values in (navarrete_recurrence(1, 40), riordan_sequence(40), fib)
+             for order in range(1, 5) for degree in range(3)]
+    outcomes = [fit_outcome(*cell) for cell in cells]
+    assert bareiss_calls
+    assert ([[1], [PRIME - 10, -1], [PRIME - 9, -1]]) in outcomes  # NAV1, shifted
+    monkeypatch.setattr(recurrences, "_kernel",
+                        lambda cols, exact_rows: _bareiss_kernel(exact_rows(), len(cols)))
+    assert [fit_outcome(*cell) for cell in cells] == outcomes
+
+
+def test_fit_builds_the_exact_window_only_for_a_nonempty_kernel(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _rows(*args)
+
+    monkeypatch.setattr(recurrences, "_rows", counted)
+    cells = [(TermTable(1, values), order, degree)
+             for _, values in GRID for order, degree in grid_cells(values)]
+    for cell in cells:
+        fit_outcome(*cell)
+    nonempty = [(terms, order, degree, 5) for terms, order, degree in cells
+                if _kernel_mod_p(_residue_columns(terms, order, degree, 5))]
+    assert built == nonempty
+    assert 0 < len(built) < len(cells)
+
+
+def per_vector(rows, vecs):
+    return all(sum(map(mul, row, v)) == 0 for row in rows for v in vecs)
+
+
+def test_packed_check_catches_one_wrong_entry_in_any_vector():
+    rows = [[3, -1, 0, 2, 10**30], [0, 5, -7, 1, 0]]  # no zero column; nullity 3
+    vecs = [primitive(v) for v in nullspace_reference(rows, 5)]
+    assert len(vecs) == 3 and _annihilates(rows, vecs)
+    for i, vec in enumerate(vecs):
+        for c in range(len(vec)):
+            for delta in (1, -1, 2**64):
+                wrong = [list(v) for v in vecs]
+                wrong[i][c] += delta
+                assert not _annihilates(rows, wrong)
+    assert _annihilates([], vecs)
+
+
+def test_packed_slots_hold_the_largest_products():
+    # row . v_0 = n is ncols * max|row| * max|vec|, and row . v_1 = -1: a slot
+    # width without the bits of ncols would let n = 8 cancel
+    for n in range(1, 70):
+        assert not _annihilates([[1] * n], [[1] * n, [-1] + [0] * (n - 1)])
+
+
+def chosen_row(a, us, products):
+    """The row (a, a . u_i + products_i), whose product with (u_i, -e_i) is
+    products_i."""
+    return a + [sum(map(mul, a, u)) + x for u, x in zip(us, products)]
+
+
+@st.composite
+def packed_cases(draw):
+    """Rows for k <= 6 vectors (u_i, -e_i), with each product row . v_i drawn
+    directly: mostly 0, +-1 or +-2**w."""
+    m = draw(st.integers(0, 4))
+    k = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-10**20, 10**20))
+    product = st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1]),
+                        st.integers(0, 150).map(lambda w: 2**w),
+                        st.integers(0, 150).map(lambda w: -(2**w)), entry)
+    us = [[draw(entry) for _ in range(m)] for _ in range(k)]
+    rows = [chosen_row([draw(entry) for _ in range(m)], us, [draw(product) for _ in us])
+            for _ in range(draw(st.integers(0, 5)))]
+    return rows, us, [draw(entry) for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_cases())
+def test_packed_check_agrees_with_the_per_vector_check(case):
+    rows, us, a = case
+    vecs = [u + [-(c == i) for c in range(len(us))] for i, u in enumerate(us)]
+    assert _annihilates(rows, vecs) == per_vector(rows, vecs)
+    if len(us) > 1:
+        # row . v_0 = 2**w and row . v_1 = -1: in a slot narrower than w + 1
+        # bits the -1 would borrow from the 2**w and cancel it
+        for w in range(200):
+            row = chosen_row(a, us, [2**w, -1] + [0] * (len(us) - 2))
+            assert not _annihilates(rows + [row], vecs)
+
+
+def test_kernel_falls_back_to_bareiss_when_the_packed_check_fails(bareiss_calls):
+    p = PRIME
+    # zero mod p, so the kernel mod p is every e_c; only e_1 fails over Q
+    assert row_kernel([[0, p, 0]], 3) == _bareiss_kernel([[0, p, 0]], 3) == (2, None)
+    assert row_kernel([[0, 0, p], [0, 0, 0]], 3) == (2, None)
+    assert row_kernel([[p, p, 0, 0], [0, 0, 0, 1]], 4) == (2, None)
+    assert len(bareiss_calls) == 3
