@@ -15,12 +15,12 @@ The nullspace is found modulo the prime PRIME first, from window columns
 built out of t(n) mod p and n mod p, and certified:
 - Nullity 0 mod p proves nullity 0 over Q (rank over Q >= rank mod p), and
   the exact window is never built.
-- Else the k kernel vectors mod p are rationally reconstructed, scaled to
-  integers and checked exactly against every row, all k in one dot product
-  per row (vector i in slot i, bits(max |row entry|) + bits(max |vector
-  entry|) + bits(ncols) + 1 bits wide).  Each has 1 at its own dependent
-  column and 0 at the other k - 1, so if all pass the nullity over Q is
-  >= k, and it is <= k by the rank inequality.
+- Otherwise the exact window is built, and each of the k kernel vectors mod
+  p is rationally reconstructed, scaled to integers and checked exactly
+  against every row.  Each has 1 at its own dependent column and 0 at the
+  other k - 1, so k vectors that pass are independent over Q, and the
+  nullity over Q is at least k.  It is at most k by the rank inequality, so
+  it is exactly k.
 - If any reconstruction or check fails (an unlucky prime, or heights above
   sqrt(p/2)), fraction-free (Bareiss) elimination over Python ints decides.
 So the prime can cost time, never an answer.
@@ -28,7 +28,6 @@ So the prime can cost time, never an answer.
 
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -172,15 +171,6 @@ def _rational(a: int, p: int, bound: int):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _annihilates(rows: list, vecs: list) -> bool:
-    """Whether row . v == 0 for all rows and vectors.  Vector i fills slot i,
-    B bits wide: a nonzero |row . v_i| < 2**(B-1) cannot cancel higher slots."""
-    width = (max(map(abs, chain(*rows)), default=0).bit_length()
-             + max(map(abs, chain(*vecs))).bit_length() + len(vecs[0]).bit_length() + 1)
-    packed = [sum(x << width * i for i, x in enumerate(col)) for col in zip(*vecs)]
-    return not any(sum(map(mul, row, packed)) for row in rows)
-
-
 def _kernel(cols: list, exact_rows):
     """Nullity of an integer system and, when it is 1, a kernel vector (else
     None), from its residue columns; `exact_rows()` only certifies a nonempty
@@ -193,9 +183,11 @@ def _kernel(cols: list, exact_rows):
     rows = exact_rows()
     if any(None in fracs for fracs in kernel):
         return _bareiss_kernel(rows, len(cols))
-    vecs = [[n * (scale // d) for n, d in fracs]
-            for fracs in kernel for scale in (lcm(*(d for _, d in fracs)),)]
-    if not _annihilates(rows, vecs):
+    vecs = []
+    for fracs in kernel:
+        scale = lcm(*(d for _, d in fracs))
+        vecs.append([n * (scale // d) for n, d in fracs])
+    if any(sum(map(mul, row, v)) for row in rows for v in vecs):
         return _bareiss_kernel(rows, len(cols))
     return len(vecs), (vecs[0] if len(vecs) == 1 else None)
 
@@ -220,8 +212,9 @@ def _bareiss_kernel(rows: list, ncols: int):
         for i in range(r + 1, len(mat)):
             row, f = mat[i], mat[i][col]
             # entries left of col are already zero in both rows
-            mat[i] = [0] * (col + 1) + [(p * x - f * y) // prev
-                                        for x, y in zip(row[col + 1:], top[col + 1:])]
+            mat[i] = [0] * (col + 1) + [
+                (p * x - f * y) // prev for x, y in zip(row[col + 1:], top[col + 1:])
+            ]
         prev = p
         pivot_cols.append(col)
     nullity = ncols - len(pivot_cols)
@@ -238,10 +231,13 @@ def _bareiss_kernel(rows: list, ncols: int):
 
 
 def _normalize(vec: list, order: int, degree: int) -> list:
-    lead = _trim(vec[:degree + 1])
-    content = -gcd(*vec) if lead and lead[-1] < 0 else gcd(*vec)  # p_0 leads positive
-    w = degree + 1
-    return [[x // content for x in vec[j * w:(j + 1) * w]] for j in range(order + 1)]
+    content = gcd(*vec)
+    ints = [x // content for x in vec]
+    coeffs = [ints[j * (degree + 1):(j + 1) * (degree + 1)] for j in range(order + 1)]
+    lead = _trim(coeffs[0])
+    if lead and lead[-1] < 0:
+        coeffs = [[-c for c in p] for p in coeffs]
+    return coeffs
 
 
 def _rows(terms: TermTable, order: int, degree: int, holdout: int) -> list:
@@ -283,9 +279,11 @@ def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
     if n_values < bound + holdout:
         raise InsufficientTermsError(
             f"need at least (order+1)(degree+1)+order+1 = {bound} terms "
-            f"plus holdout={holdout} (total {bound + holdout}); got {n_values}")
+            f"plus holdout={holdout} (total {bound + holdout}); got {n_values}"
+        )
     if all(v == 0 for v in terms.values):
         raise ValueError("degenerate input: all terms are zero")
+
     nullity, vec = _kernel(_residue_columns(terms, order, degree, holdout),
                            lambda: _rows(terms, order, degree, holdout))
     if nullity == 0:
@@ -306,8 +304,13 @@ def verify(op: RecurrenceOperator, terms: TermTable):
     at every applicable index."""
     start = terms.offset + op.order
     if start > terms.last:
-        raise ValueError(f"need at least {op.order + 1} consecutive terms to verify")
-    return next((n for n in range(start, terms.last + 1) if op.apply(terms, n)), None)
+        raise ValueError(
+            f"need at least {op.order + 1} consecutive terms to verify"
+        )
+    for n in range(start, terms.last + 1):
+        if op.apply(terms, n) != 0:
+            return n
+    return None
 
 
 def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
@@ -322,12 +325,15 @@ def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
         p0 = poly_eval(op.coeffs[0], n)
         if p0 == 0:
             raise SingularLeadingTermError(f"p_0({n}) = 0; cannot solve for t({n})")
-        acc = sum(poly_eval(op.coeffs[j], n) * values[n - j - seeds.offset]
-                  for j in range(1, op.order + 1))
+        acc = sum(
+            poly_eval(op.coeffs[j], n) * values[n - j - seeds.offset]
+            for j in range(1, op.order + 1)
+        )
         q, rem = divmod(-acc, p0)
         if rem:
-            raise InexactStepError(f"t({n}) is not an integer; "
-                                   "operator and seeds are inconsistent")
+            raise InexactStepError(
+                f"t({n}) is not an integer; operator and seeds are inconsistent"
+            )
         values.append(q)
     return TermTable(seeds.offset, values[:n_max - seeds.offset + 1])
 
@@ -335,8 +341,10 @@ def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
 def format_operator(op: RecurrenceOperator, offset: int = 1) -> str:
     """Stable text form: header "order degree offset", then one line of
     space-separated constant-first integers per coefficient polynomial."""
-    lines = [" ".join(str(c) for c in (p or [0])) for p in op.coeffs]
-    return "\n".join([f"{op.order} {op.degree} {offset}", *lines]) + "\n"
+    lines = [f"{op.order} {op.degree} {offset}"]
+    for p in op.coeffs:
+        lines.append(" ".join(str(c) for c in (p or [0])))
+    return "\n".join(lines) + "\n"
 
 
 def parse_operator(text: str):
