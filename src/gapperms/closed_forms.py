@@ -3,14 +3,15 @@
 Navarrete's alternating sum and its second-order recurrence cover the
 signed constraint for any value gap s; Riordan's fourth-order recurrence
 and Robbins' double sum cover the classic count of permutations without
-rising or falling successions (OEIS A002464); and a tile-weight summation
-covers both modes for every s in polynomial time.
+rising or falling successions (OEIS A002464); and a tile-weight summation,
+one packed big-integer product per term, covers both modes for every s in
+polynomial time.
 """
 
 from math import comb, factorial
 
 from .specs import ABSOLUTE, check_mode
-from .tilings import _board, _interval_weights
+from .tilings import _interval_weights
 
 
 def navarrete_sum(s: int, n: int) -> int:
@@ -86,23 +87,35 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
     occupy consecutive positions.  A run is a tile of a gap-s tiling of the
     value board {1..n}, and m tiles can be laid out in m! orders, so a
     tiling matters only through its tile count m.  The residue classes of
-    {1..n} mod s are intervals of lengths L, tiled independently, so
+    {1..n} mod s are intervals, tiled independently; for n = qs + r,
 
-        a(n) = sum_m m! * P[m],   P = tilings._board product of the w_L,
+        a(n) = sum_m m! * P[m],   P = w_{q+1}^r * w_q^(s-r)  (convolution),
 
-    with w_L = tilings._interval_weights(L, absolute), keyed by m: the signed
-    count of tilings of an interval into m tiles, times 2^c for the c runs
-    of two or more values in absolute mode.  Polynomial time in n.
+    with w_L = tilings._interval_weights(L, absolute).  As w_L[m] has sign
+    (-1)^(L-m), P[m] = (-1)^(n-m) Q[m] for the product Q of the |w_L|, each
+    packed into one int with |w_L[m]| in slot m (Kronecker substitution).
+    The slots are wide enough for prod_j sum_m |w_L_j[m]| at n_max, which
+    bounds every coefficient of every such product up to n_max, so none
+    carries.  Horner's rule reads a(n) = (-1)^n sum_m (-1)^m m! Q[m] off Q.
     """
     check_mode(mode)
     if s < 1:
         raise ValueError("s must be >= 1")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    fact = [factorial(k) for k in range(n_max + 1)]
     absolute = mode == ABSOLUTE
+    q, r = divmod(n_max, s)
+    weights = [_interval_weights(length, absolute) for length in range(q + 2)]
+    bound = sum(map(abs, weights[q + 1])) ** r * sum(map(abs, weights[q])) ** (s - r)
+    size = bound.bit_length() + 7 >> 3  # bytes per slot
+    packed = [int.from_bytes(b"".join(abs(c).to_bytes(size, "little") for c in w), "little")
+              for w in weights]
     out = []
     for n in range(1, n_max + 1):
-        poly = _board(s, n, lambda size: dict(enumerate(_interval_weights(size, absolute))))
-        out.append(sum(fact[m] * c for m, c in poly.items()))
+        q, r = divmod(n, s)
+        slots = (packed[q + 1] ** r * packed[q] ** (s - r)).to_bytes((n + 1) * size, "little")
+        acc = 0
+        for m in range(n, -1, -1):  # acc = Q[m] - (m + 1) * acc
+            acc = int.from_bytes(slots[m * size:(m + 1) * size], "little") - (m + 1) * acc
+        out.append(-acc if n % 2 else acc)
     return out

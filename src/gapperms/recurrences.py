@@ -294,8 +294,8 @@ def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
     if not _trim(coeffs[0]):
         return None  # p_0 vanished: not a usable operator
     op = RecurrenceOperator(coeffs)
-    if verify(op, terms) is not None:
-        return None  # holdout terms reject the candidate
+    if any(op.apply(terms, n) for n in range(terms.last - holdout + 1, terms.last + 1)):
+        return None  # the kernel check proved the window rows; the holdout rejects
     return op
 
 
@@ -353,10 +353,12 @@ def parse_operator(text: str):
     if not lines:
         raise ValueError("empty operator text")
     try:
-        order, _degree, offset = (int(x) for x in lines[0].split())
+        order, degree, offset = (int(x) for x in lines[0].split())
     except ValueError as exc:
         raise ValueError(f"bad operator header {lines[0]!r}") from exc
     if len(lines) != order + 2:
         raise ValueError(f"expected {order + 1} coefficient lines, got {len(lines) - 1}")
-    coeffs = [[int(x) for x in ln.split()] for ln in lines[1:]]
-    return RecurrenceOperator(coeffs), offset
+    op = RecurrenceOperator([[int(x) for x in ln.split()] for ln in lines[1:]])
+    if op.degree != degree:
+        raise ValueError(f"header says degree {degree}, coefficient lines have degree {op.degree}")
+    return op, offset

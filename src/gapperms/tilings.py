@@ -235,19 +235,25 @@ def _interval_profile(length: int) -> dict:
 
 @lru_cache(maxsize=512)
 def _interval_weights(length: int, absolute: bool) -> tuple:
-    """Signed tile weights of an interval board, indexed by tile count m:
+    """Signed tile weights of an interval board, indexed by tile count m.
+    A tile of size k carries sign (-1)^(k-1), doubled for k >= 2 in absolute
+    mode (a run may ascend or descend), and w[m] sums the tilings into m
+    tiles, so it has sign (-1)^(length-m).  Disjoint boards combine by
+    convolution over m.  As W_L(t) = sum_m w[m] t^m, W_0 = 1, W_1 = t and
 
-        w[m] = (-1)^(length-m) * sum_c g(m, c) * (2^c if absolute else 1)
+        W_L = (t - 1) W_{L-1} - [absolute] t W_{L-2}
 
-    with g(m, c) from _interval_profile, so w_0 = (1,).  A tile of size L
-    carries sign (-1)^(L-1), doubled for L >= 2 in absolute mode (a run may
-    ascend or descend), and w[m] sums the tilings into m tiles.  Disjoint
-    boards combine by convolution over m.
+    (the last cell is a tile of its own, or lengthens the last tile by one;
+    a singleton so lengthened weighs twice in absolute mode), so each length
+    costs O(length) from the two before it.
     """
-    w = [0] * (length + 1)
-    for (m, c), g in _interval_profile(length).items():
-        w[m] += g << c if absolute else g
-    return tuple(x if (length - m) % 2 == 0 else -x for m, x in enumerate(w))
+    if length < 2:
+        return ((1,), (0, 1))[length]
+    if length > 64:  # a cold call recurses at most 64 + length / 64 levels
+        _interval_weights(length - 64, absolute)
+    prev = _interval_weights(length - 1, absolute)
+    back = (0,) + _interval_weights(length - 2, absolute) + (0,) if absolute else (0,) * (length + 1)
+    return tuple(a - b - c for a, b, c in zip((0,) + prev, prev + (0,), back))
 
 
 def run_profile(s: int, n: int) -> RunProfile:

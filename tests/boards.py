@@ -1,8 +1,10 @@
 """Reference boards shared by the oracle, RIN and tiling tests."""
 
 from functools import lru_cache
+from math import factorial
 
-from gapperms.tilings import _bump, _interval_factor, _multiply
+from gapperms.specs import ABSOLUTE
+from gapperms.tilings import _board, _bump, _interval_factor, _interval_profile, _multiply
 
 
 @lru_cache(maxsize=None)
@@ -27,3 +29,25 @@ def cut_board(n, cuts):
     for end in sorted(cuts) + [n]:
         board, start = _multiply(board, _interval_factor(end - start, n)), end
     return board
+
+
+@lru_cache(maxsize=None)
+def profile_weights(length, absolute):
+    """Signed tile weights of an interval, aggregated from the (m, c) counts
+    of tilings._interval_profile: w[m] = (-1)^(length-m) sum_c g(m, c) 2^c
+    (2^c only in absolute mode).  The reference for the weight recurrence of
+    tilings._interval_weights."""
+    w = [0] * (length + 1)
+    for (m, c), g in _interval_profile(length).items():
+        w[m] += g << c if absolute else g
+    return tuple(x if (length - m) % 2 == 0 else -x for m, x in enumerate(w))
+
+
+def fast_r1(s, mode, n_max):
+    """closed_forms.fast_r1 by dict convolution: sum_m m! P[m], P the
+    tilings._board product of the profile_weights of the residue classes.
+    The reference for the packed product."""
+    absolute = mode == ABSOLUTE
+    return [sum(factorial(m) * c for m, c in
+                _board(s, n, lambda size: dict(enumerate(profile_weights(size, absolute)))).items())
+            for n in range(1, n_max + 1)]

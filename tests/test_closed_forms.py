@@ -18,6 +18,8 @@ from gapperms import (
     robbins,
 )
 
+import boards
+
 
 def test_navarrete_sum_examples():
     assert navarrete_sum(1, 4) == 11  # 24 - 3*6 + 3*2 - 1
@@ -84,6 +86,23 @@ def test_fast_r1_examples():
     assert fast_r1(5, ABSOLUTE, 4) == [1, 2, 6, 24]  # s > n: nothing is forbidden
     with pytest.raises(ValueError):
         fast_r1(0, ABSOLUTE, 3)
+
+
+def test_fast_r1_matches_the_board_convolution():
+    for s in range(1, 6):
+        for mode in (SIGNED, ABSOLUTE):
+            assert fast_r1(s, mode, 100) == boards.fast_r1(s, mode, 100), (s, mode)
+
+
+def test_fast_r1_edge_sizes():
+    for mode in (SIGNED, ABSOLUTE):
+        for s, n_max in ((7, 5), (5, 5), (3, 1), (1, 1)):  # s > n_max, s = n_max, n_max = 1
+            assert fast_r1(s, mode, n_max) == boards.fast_r1(s, mode, n_max), (s, n_max)
+        for s in (6, 7):  # no two values of {1..n} differ by s >= n
+            assert fast_r1(s, mode, 6) == [factorial(n) for n in range(1, 7)]
+        # s = n - 1 forbids only 6 right after 1 (or beside it): 5! placements each
+        assert fast_r1(5, mode, 6)[-1] == 720 - (120 if mode == SIGNED else 240)
+        assert fast_r1(3, mode, 1) == [1]
 
 
 def test_absolute_engines_agree_to_40():

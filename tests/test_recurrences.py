@@ -89,6 +89,20 @@ def test_fit_absence_and_holdout_rejection():
     assert fit(TermTable(1, [1] * 9 + [2]), order=1, degree=0, holdout=3) is None
 
 
+def test_fit_checks_only_the_holdout(monkeypatch):
+    # the kernel check has proved every window row, so fit applies the
+    # operator only at the holdout indices
+    calls = []
+    apply = RecurrenceOperator.apply
+    monkeypatch.setattr(RecurrenceOperator, "apply",
+                        lambda op, terms, n: calls.append(n) or apply(op, terms, n))
+    terms = TermTable(1, riordan_sequence(44))
+    for holdout in (0, 3, 5):
+        calls.clear()
+        assert fit(terms, order=4, degree=1, holdout=holdout) == RIORDAN
+        assert calls == list(range(45 - holdout, 45))
+
+
 def test_fit_rejects_all_zero_input():
     with pytest.raises(ValueError):
         fit(TermTable(1, [0] * 20), order=1, degree=0)
@@ -169,6 +183,9 @@ def test_serialization_round_trip():
         parse_operator("not a header\n1\n")
     with pytest.raises(ValueError):
         parse_operator("2 1 1\n1\n1 1\n")  # missing a coefficient line
+    for text, said, found in (("1 7 1\n1\n-1\n", 7, 0), ("1 0 1\n1 0 1\n-1\n", 0, 2)):
+        with pytest.raises(ValueError, match=f"degree {said}.*degree {found}"):
+            parse_operator(text)
 
 
 def test_term_table_indexing():

@@ -22,7 +22,7 @@ from gapperms.tilings import (
     unpack,
 )
 
-from boards import interval_terms
+from boards import interval_terms, profile_weights
 
 F35 = {(5,): 1, (3, 1): 2, (1, 2): 1}
 F37 = {
@@ -248,6 +248,21 @@ def test_interval_weights_aggregate_compositions():
                 m, runs = sum(mono), sum(mono[1:])
                 want[m] += (-1) ** (length - m) * count * (2 ** runs if absolute else 1)
             assert list(_interval_weights(length, absolute)) == want, (length, absolute)
+
+
+def test_interval_weights_match_the_profile_aggregation():
+    for absolute in (False, True):
+        for length in range(81):
+            assert _interval_weights(length, absolute) == profile_weights(length, absolute)
+
+
+def test_cold_interval_weights_do_not_recurse_deeply():
+    _interval_weights.cache_clear()
+    try:
+        w = _interval_weights(1500, True)
+        assert (w[0], w[1], w[-1]) == (0, -2, 1)  # one run of all 1500 values, either way
+    finally:
+        _interval_weights.cache_clear()  # the filled lengths hold about 140 MB
 
 
 def test_format_polynomial_golden():
