@@ -27,7 +27,6 @@ So the prime can cost time, never an answer.
 """
 
 import struct
-from dataclasses import dataclass, field
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -35,16 +34,22 @@ PRIME = 536870909  # 2**29 - 3: a product of two residues fits in 58 bits
 _SLOT = 2**64 - 1  # one packed residue per 64-bit slot
 
 
-@dataclass
 class TermTable:
     """A run of consecutive sequence values t(offset), t(offset+1), ..."""
 
-    offset: int
-    values: list
-
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, offset: int, values: list):
+        if not values:
             raise ValueError("TermTable must hold at least one value")
+        self.offset = offset
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.offset, self.values) == (other.offset, other.values)
+
+    def __repr__(self):
+        return f"TermTable(offset={self.offset!r}, values={self.values!r})"
 
     @property
     def last(self) -> int:
@@ -90,18 +95,23 @@ def _trim(coeffs) -> list:
     return out
 
 
-@dataclass
 class RecurrenceOperator:
     """Coefficients p_0 .. p_order, each a constant-first integer list,
     normalized to integer content 1 with the leading coefficient of p_0
     positive so operator equality is a plain comparison."""
 
-    coeffs: list = field(default_factory=list)
-
-    def __post_init__(self):
-        self.coeffs = [_trim(p) for p in self.coeffs]
+    def __init__(self, coeffs=()):
+        self.coeffs = [_trim(p) for p in coeffs]
         if not self.coeffs or not self.coeffs[0]:
             raise ValueError("p_0 must not be identically zero")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"RecurrenceOperator(coeffs={self.coeffs!r})"
 
     @property
     def order(self) -> int:

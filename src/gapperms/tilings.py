@@ -32,7 +32,7 @@ keeps only the two that one count reads.  tiling_polynomial, coefficient
 and format_polynomial keep tuple keys at the API boundary.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
@@ -51,18 +51,16 @@ def trim(freqs) -> tuple:
     return tuple(f)
 
 
-@dataclass
-class TilingPolynomial:
+class TilingPolynomial(namedtuple("TilingPolynomial", "terms")):
     """Sparse weight enumerator: monomial frequency vector -> tiling count."""
 
-    terms: dict
+    __slots__ = ()
 
 
-@dataclass
-class RunProfile:
+class RunProfile(namedtuple("RunProfile", "counts")):
     """Tiling counts aggregated by (m, c) = (tiles, non-singleton tiles)."""
 
-    counts: dict
+    __slots__ = ()
 
 
 def _bump(freqs: tuple, size: int) -> tuple:

@@ -1,5 +1,6 @@
 """Brute-force module: frozen enumeration values and counting identities."""
 
+import pickle
 from math import factorial
 
 import pytest
@@ -145,11 +146,35 @@ def test_enumeration_cap():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SequenceSpec(0, 1, SIGNED)
-    with pytest.raises(ValueError):
-        SequenceSpec(1, 1, "weird")
-    with pytest.raises(ValueError):
-        ExceptionSpec(3, {3})  # position out of 1..n-1
-    with pytest.raises(ValueError):
-        ExceptionSpec(3, values={4})
+    bad_mode = "mode must be one of ('signed', 'absolute'), got 'weird'"
+    for make, message in (
+        (lambda: SequenceSpec(0, 1, SIGNED), "r and s must be >= 1, got r=0, s=1"),
+        (lambda: SequenceSpec(r=2, s=0, mode=SIGNED), "r and s must be >= 1, got r=2, s=0"),
+        (lambda: SequenceSpec(1, 1, "weird"), bad_mode),
+        (lambda: ExceptionSpec(-1), "n must be >= 0"),
+        (lambda: ExceptionSpec(3, mode="weird"), bad_mode),
+        (lambda: ExceptionSpec(3, {3}), "positions must lie in 1..2"),  # out of 1..n-1
+        (lambda: ExceptionSpec(3, values={4}), "values must lie in 1..3"),
+    ):
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == message
+
+
+def test_specs_are_immutable_records():
+    spec = SequenceSpec(r=2, s=2, mode=SIGNED)
+    assert spec == SequenceSpec(2, 2, SIGNED) != SequenceSpec(2, 2, ABSOLUTE)
+    assert spec == (2, 2, SIGNED) and (spec.r, spec.s, spec.mode) == (2, 2, SIGNED)
+    assert repr(spec) == "SequenceSpec(r=2, s=2, mode='signed')"
+    assert hash(spec) == hash(SequenceSpec(2, 2, SIGNED)) and len({spec, spec}) == 1
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert type(pickle.loads(pickle.dumps(spec))) is SequenceSpec
+    with pytest.raises(AttributeError):
+        spec.r = 3
+    ex = ExceptionSpec(4, positions=[1, 3], values=(2,))
+    assert ex == ExceptionSpec(4, frozenset({3, 1}), frozenset({2}), SIGNED)
+    assert type(ex.positions) is type(ex.values) is frozenset
+    assert repr(ExceptionSpec(3, [1], mode=ABSOLUTE)) == (
+        "ExceptionSpec(n=3, positions=frozenset({1}), values=frozenset(), mode='absolute')"
+    )
+    assert ExceptionSpec(0) == (0, frozenset(), frozenset(), SIGNED)

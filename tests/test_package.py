@@ -1,0 +1,72 @@
+"""The package namespace: lazy exports and the weight of a cold import."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gapperms
+
+SRC = os.path.dirname(os.path.dirname(gapperms.__file__))
+
+
+def fresh(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports this gapperms."""
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, check=True, timeout=60)
+    return done.stdout
+
+
+def test_import_loads_no_submodule():
+    loaded = fresh("import sys, gapperms\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('gapperms.')))")
+    assert loaded.strip() == "[]"
+
+
+def test_star_import_binds_each_name_to_its_home_module_object():
+    namespace = {}
+    exec("from gapperms import *", namespace)
+    assert set(gapperms.__all__) <= set(namespace)
+    for module, names in gapperms._EXPORTS.items():
+        home = importlib.import_module(f"gapperms.{module}")
+        for name in names:
+            assert namespace[name] is getattr(home, name), name
+            assert getattr(gapperms, name) is getattr(home, name), name
+    assert len(gapperms.__all__) == len(set(gapperms.__all__)) == 33
+
+
+def test_dir_lists_every_export_before_first_use():
+    assert fresh("import gapperms\n"
+                 "print(set(gapperms.__all__) <= set(dir(gapperms)))").strip() == "True"
+    assert set(gapperms.__all__) <= set(dir(gapperms))
+    assert "__version__" in dir(gapperms)
+
+
+def test_unknown_attribute_names_the_module():
+    with pytest.raises(AttributeError, match="module 'gapperms' has no attribute 'nonesuch'"):
+        gapperms.nonesuch
+    with pytest.raises(ImportError):
+        from gapperms import nonesuch  # noqa: F401
+
+
+def test_from_import_still_loads_submodules():
+    from gapperms import cli, matsuo
+
+    assert cli is sys.modules["gapperms.cli"] and matsuo is sys.modules["gapperms.matsuo"]
+    assert gapperms.__version__ == "0.1.0"
+
+
+def test_counting_and_cli_modules_do_not_import_dataclasses_or_inspect():
+    # a before/after diff, so a module that site already loaded does not count
+    added = fresh(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gapperms\n"
+        "from gapperms import matsuo, closed_forms, inclusion_exclusion\n"
+        "import gapperms.cli\n"
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert "'gapperms.cli'" in added
+    assert "'dataclasses'" not in added and "'inspect'" not in added

@@ -169,8 +169,16 @@ def test_operator_normalization():
     assert op.coeffs == [[-2, -4], [6]]
     assert op.order == 1
     assert op.degree == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p_0 must not be identically zero"):
         RecurrenceOperator([[0, 0], [1]])
+    with pytest.raises(ValueError, match="p_0 must not be identically zero"):
+        RecurrenceOperator()
+    # compared by value, shown as a dataclass would show it, never hashed
+    assert op == RecurrenceOperator(coeffs=[[-2, -4, 0], [6, 0]]) != RecurrenceOperator([[1]])
+    assert op != [[-2, -4], [6]]
+    assert repr(op) == "RecurrenceOperator(coeffs=[[-2, -4], [6]])"
+    with pytest.raises(TypeError):
+        hash(op)
 
 
 def test_serialization_round_trip():
@@ -193,8 +201,13 @@ def test_term_table_indexing():
     assert table[3] == 10 and table[5] == 30
     with pytest.raises(IndexError):
         table[6]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="TermTable must hold at least one value"):
         TermTable(1, [])
+    assert table == TermTable(offset=3, values=[10, 20, 30])
+    assert table != TermTable(4, [10, 20, 30]) and table != (3, [10, 20, 30])
+    assert repr(table) == "TermTable(offset=3, values=[10, 20, 30])"
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def nullspace_reference(rows, ncols):
