@@ -11,7 +11,7 @@ polynomial time.
 from math import comb, factorial
 
 from .specs import ABSOLUTE, check_mode
-from .tilings import _interval_weights
+from .tilings import _interval_weight_table
 
 
 def navarrete_sum(s: int, n: int) -> int:
@@ -91,7 +91,7 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
 
         a(n) = sum_m m! * P[m],   P = w_{q+1}^r * w_q^(s-r)  (convolution),
 
-    with w_L = tilings._interval_weights(L, absolute).  As w_L[m] has sign
+    with w_L the tilings._interval_weight_table entry.  As w_L[m] has sign
     (-1)^(L-m), P[m] = (-1)^(n-m) Q[m] for the product Q of the |w_L|, each
     packed into one int with |w_L[m]| in slot m (Kronecker substitution).
     The slots are wide enough for prod_j sum_m |w_L_j[m]| at n_max, which
@@ -105,7 +105,7 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
         raise ValueError("n_max must be >= 1")
     absolute = mode == ABSOLUTE
     q, r = divmod(n_max, s)
-    weights = [_interval_weights(length, absolute) for length in range(q + 2)]
+    weights = _interval_weight_table(q + 1, absolute)
     bound = sum(map(abs, weights[q + 1])) ** r * sum(map(abs, weights[q])) ** (s - r)
     size = bound.bit_length() + 7 >> 3  # bytes per slot
     packed = [int.from_bytes(b"".join(abs(c).to_bytes(size, "little") for c in w), "little")

@@ -21,7 +21,7 @@ of the cut at b and position side of a, with total lengths
     t (values <= b, positions <= a),      b - t (values <= b, after a),
     a - t (values > b, positions <= a),   n - a - b + t (values > b, after a).
 
-Each group is an interval tiling weighted by tilings._interval_weights
+Each group is an interval tiling weighted by tilings._interval_weight_table
 w_L[j] (sign (-1)^(L-j), and 2^c for the c runs of two or more values in
 absolute mode).  With j11, j12, j21, j22 tiles in the four groups, the
 tiles on each value side interleave in C(j11+j12, j11) and
@@ -46,7 +46,7 @@ from itertools import accumulate
 from operator import mul
 
 from .specs import ABSOLUTE, check_mode
-from .tilings import _interval_weights
+from .tilings import _interval_weight_table
 
 
 def _link(w, size: int, fact: list) -> list:
@@ -69,8 +69,8 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
         sum_{t=max(0,a+b-n)}^{min(a,b)} sum_{i,k}
             w_t[i] * w_{n-a-b+t}[k] * L(w_{b-t})[i][k] * L(w_{a-t})[k][i]
 
-    over the four tile groups of the module docstring, where w_L is
-    tilings._interval_weights(L, absolute) and
+    over the four tile groups of the module docstring, where w_L is entry L
+    of tilings._interval_weight_table, built once per call, and
     L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!, filled column by column
     by L[i][k+1] = (k - i) L[i][k] + (i + 1) L[i+1][k].  O(n^3) per call.
     """
@@ -82,13 +82,13 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     absolute = mode == ABSOLUTE
     # _link's top index 2*size - 3 + len(w) peaks at t = min(a, b), at max(a + b, 2n - a - b)
     fact = list(accumulate(range(1, max(a + b, 2 * n - a - b) + 1), mul, initial=1))
+    ws = _interval_weight_table(max(a, b, n - max(a, b)), absolute)  # the longest group
     total = 0
     for t in range(max(0, a + b - n), min(a, b) + 1):
-        w11 = _interval_weights(t, absolute)
-        w22 = _interval_weights(n - a - b + t, absolute)
+        w11, w22 = ws[t], ws[n - a - b + t]
         size = max(len(w11), len(w22))  # square tables, so one serves both ways
-        l12 = _link(_interval_weights(b - t, absolute), size, fact)
-        l21 = l12 if a == b else _link(_interval_weights(a - t, absolute), size, fact)
+        l12 = _link(ws[b - t], size, fact)
+        l21 = l12 if a == b else _link(ws[a - t], size, fact)
         total += sum(x * sum(y * l12[k][i] * l21[i][k] for k, y in enumerate(w22))
                      for i, x in enumerate(w11))
     return total

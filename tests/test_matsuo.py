@@ -19,7 +19,7 @@ from gapperms import (
 )
 from gapperms.inclusion_exclusion import partition_sum
 from gapperms.matsuo import _link
-from gapperms.tilings import _interval_weights
+from gapperms.tilings import _interval_weight_table
 
 from boards import cut_board
 
@@ -41,8 +41,7 @@ def link_reference(w, size, fact):
 def test_link_recurrence_matches_defining_sum():
     fact = [factorial(k) for k in range(2 * 12 + 31)]
     for absolute in (False, True):
-        for length in range(31):
-            w = _interval_weights(length, absolute)
+        for length, w in enumerate(_interval_weight_table(30, absolute)):
             for size in range(13):
                 assert _link(w, size, fact) == link_reference(w, size, fact), \
                     (length, absolute, size)

@@ -1,11 +1,16 @@
 """Tiling enumerators: printed fixtures, cross-checks, aggregation identities."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapperms import (
+    ABSOLUTE,
     coefficient,
+    fast22,
+    fast_r1,
     format_polynomial,
     run_profile,
     tiling_polynomial,
@@ -13,7 +18,7 @@ from gapperms import (
 )
 from gapperms.tilings import (
     _interval_factor,
-    _interval_weights,
+    _interval_weight_table,
     _tiling_terms,
     _widths,
     pack,
@@ -241,28 +246,38 @@ def test_run_profile_invariants():
 
 
 def test_interval_weights_aggregate_compositions():
-    for length in range(0, 13):
-        for absolute in (False, True):
+    for absolute in (False, True):
+        table = _interval_weight_table(12, absolute)
+        for length in range(0, 13):
             want = [0] * (length + 1)
             for mono, count in interval_terms(length).items():
                 m, runs = sum(mono), sum(mono[1:])
                 want[m] += (-1) ** (length - m) * count * (2 ** runs if absolute else 1)
-            assert list(_interval_weights(length, absolute)) == want, (length, absolute)
+            assert list(table[length]) == want, (length, absolute)
 
 
 def test_interval_weights_match_the_profile_aggregation():
     for absolute in (False, True):
+        table = _interval_weight_table(80, absolute)
+        assert len(table) == 81
         for length in range(81):
-            assert _interval_weights(length, absolute) == profile_weights(length, absolute)
+            assert table[length] == profile_weights(length, absolute)
 
 
-def test_cold_interval_weights_do_not_recurse_deeply():
-    _interval_weights.cache_clear()
+def test_long_interval_weight_table_ends_in_one_run():
+    w = _interval_weight_table(1500, True)[-1]
+    assert (w[0], w[1], w[-1]) == (0, -2, 1)  # one run of all 1500 values, either way
+
+
+def test_weight_engines_keep_no_memory_between_calls():
+    tracemalloc.start()
     try:
-        w = _interval_weights(1500, True)
-        assert (w[0], w[1], w[-1]) == (0, -2, 1)  # one run of all 1500 values, either way
+        fast_r1(1, ABSOLUTE, 300)
+        fast22(120, ABSOLUTE)
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
-        _interval_weights.cache_clear()  # the filled lengths hold about 140 MB
+        tracemalloc.stop()
+    assert kept < 100_000, kept  # no weight table outlives the call that built it
 
 
 def test_format_polynomial_golden():
