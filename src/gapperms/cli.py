@@ -30,7 +30,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import engines, recurrences, tilings
+from . import engines, recurrences
 from .specs import ABSOLUTE, SIGNED, SequenceSpec
 
 CACHE_ENV = "GAPPERMS_CACHE_DIR"
@@ -176,6 +176,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_tilings(args) -> int:
+    from . import tilings  # loaded only here: no other command builds a tiling
     poly = tilings.tiling_polynomial(args.r, args.n)
     _emit(tilings.format_polynomial(poly) + "\n", args.out)
     return 0

@@ -5,13 +5,12 @@ signed constraint for any value gap s; Riordan's fourth-order recurrence
 and Robbins' double sum cover the classic count of permutations without
 rising or falling successions (OEIS A002464); and a tile-weight summation,
 one packed big-integer product per term, covers both modes for every s in
-polynomial time.
+polynomial time.  Its tile-weight table also feeds matsuo.rin.
 """
 
 from math import comb, factorial
 
 from .specs import ABSOLUTE, check_mode
-from .tilings import _interval_weight_table
 
 
 def navarrete_sum(s: int, n: int) -> int:
@@ -80,6 +79,28 @@ def robbins(n: int) -> int:
     return total
 
 
+def _interval_weight_table(n: int, absolute: bool) -> list:
+    """Signed tile weights of interval boards of length 0..n: entry L is the
+    tuple w_L indexed by tile count m.  A tile of size k carries sign
+    (-1)^(k-1), doubled for k >= 2 in absolute mode (a run may ascend or
+    descend), and w_L[m] sums the tilings into m tiles, so it has sign
+    (-1)^(L-m).  Disjoint boards combine by convolution over m.  As
+    W_L(t) = sum_m w_L[m] t^m, W_0 = 1, W_1 = t and
+
+        W_L = (t - 1) W_{L-1} - [absolute] t W_{L-2}
+
+    (the last cell is a tile of its own, or lengthens the last tile by one;
+    a singleton so lengthened weighs twice in absolute mode), so each length
+    costs O(L) from the two before it.  Built per call; nothing is kept.
+    """
+    table = [(1,), (0, 1)]
+    for length in range(2, n + 1):
+        prev = table[-1]
+        back = (0,) + table[-2] + (0,) if absolute else (0,) * (length + 1)
+        table.append(tuple(a - b - c for a, b, c in zip((0,) + prev, prev + (0,), back)))
+    return table[:n + 1]
+
+
 def fast_r1(s: int, mode: str, n_max: int) -> list:
     """Adjacent-entries counts for value gap s, both modes, n = 1..n_max.
 
@@ -91,7 +112,7 @@ def fast_r1(s: int, mode: str, n_max: int) -> list:
 
         a(n) = sum_m m! * P[m],   P = w_{q+1}^r * w_q^(s-r)  (convolution),
 
-    with w_L the tilings._interval_weight_table entry.  As w_L[m] has sign
+    with w_L the _interval_weight_table entry.  As w_L[m] has sign
     (-1)^(L-m), P[m] = (-1)^(n-m) Q[m] for the product Q of the |w_L|, each
     packed into one int with |w_L[m]| in slot m (Kronecker substitution).
     The slots are wide enough for prod_j sum_m |w_L_j[m]| at n_max, which

@@ -2,16 +2,22 @@
 
 Each engine name maps to (scope predicate, requirement text, runner).  A
 runner takes (spec, n_max) and returns the terms for n = 1..n_max.  Runners
-look their functions up on the engine modules at call time, so a wrapper
-set on a module attribute applies here too.
+import their engine module on first use and look their functions up on it at
+call time, so a wrapper set on a module attribute applies here too.
 
 Inverting a permutation swaps the gaps (pi[i+r] - pi[i] = s exactly when
 pi^-1[v+s] - pi^-1[v] = r, v = pi[i]), so count(r, s) = count(s, r) in both
 modes: an engine serves a spec when its scope admits it or its transpose.
 """
 
-from . import closed_forms, inclusion_exclusion, matsuo, oracle
+from importlib import import_module
+
 from .specs import ABSOLUTE, SIGNED, SequenceSpec
+
+
+def _mod(name: str):
+    """The engine module gapperms.<name>, imported on first use."""
+    return import_module(f"{__package__}.{name}")
 
 
 def _classic(spec):
@@ -19,19 +25,21 @@ def _classic(spec):
 
 
 ENGINES = {
-    "oracle": (lambda spec: True, None, lambda spec, n: oracle.brute_sequence(spec, n)),
-    "ie": (lambda spec: True, None, lambda spec, n: inclusion_exclusion.sequence(spec, n)),
+    "oracle": (lambda spec: True, None,
+               lambda spec, n: _mod("oracle").brute_sequence(spec, n)),
+    "ie": (lambda spec: True, None,
+           lambda spec, n: _mod("inclusion_exclusion").sequence(spec, n)),
     "navarrete": (lambda spec: spec.r == 1 and spec.mode == SIGNED,
                   "r=1 or s=1, and signed mode",
-                  lambda spec, n: closed_forms.navarrete_recurrence(spec.s, n)),
+                  lambda spec, n: _mod("closed_forms").navarrete_recurrence(spec.s, n)),
     "riordan": (_classic, "r=1, s=1 and absolute mode",
-                lambda spec, n: closed_forms.riordan_sequence(n)),
+                lambda spec, n: _mod("closed_forms").riordan_sequence(n)),
     "robbins": (_classic, "r=1, s=1 and absolute mode",
-                lambda spec, n: [closed_forms.robbins(k) for k in range(1, n + 1)]),
+                lambda spec, n: [_mod("closed_forms").robbins(k) for k in range(1, n + 1)]),
     "r1fast": (lambda spec: spec.r == 1, "r=1 or s=1",
-               lambda spec, n: closed_forms.fast_r1(spec.s, spec.mode, n)),
+               lambda spec, n: _mod("closed_forms").fast_r1(spec.s, spec.mode, n)),
     "matsuo": (lambda spec: spec.r == 2 and spec.s == 2, "r=2 and s=2",
-               lambda spec, n: [matsuo.fast22(k, spec.mode) for k in range(1, n + 1)]),
+               lambda spec, n: [_mod("matsuo").fast22(k, spec.mode) for k in range(1, n + 1)]),
 }
 
 # "auto" takes the first of these that serves the spec, else "ie".
@@ -59,7 +67,7 @@ def resolve(spec: SequenceSpec, engine: str, n_max: int) -> str:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if engine == "oracle":
-        oracle._check_cap(n_max)
+        _mod("oracle")._check_cap(n_max)
     return engine
 
 

@@ -21,7 +21,7 @@ of the cut at b and position side of a, with total lengths
     t (values <= b, positions <= a),      b - t (values <= b, after a),
     a - t (values > b, positions <= a),   n - a - b + t (values > b, after a).
 
-Each group is an interval tiling weighted by tilings._interval_weight_table
+Each group is an interval tiling weighted by closed_forms._interval_weight_table
 w_L[j] (sign (-1)^(L-j), and 2^c for the c runs of two or more values in
 absolute mode).  With j11, j12, j21, j22 tiles in the four groups, the
 tiles on each value side interleave in C(j11+j12, j11) and
@@ -45,8 +45,8 @@ the two link tables coincide and are built once.
 from itertools import accumulate
 from operator import mul
 
+from .closed_forms import _interval_weight_table
 from .specs import ABSOLUTE, check_mode
-from .tilings import _interval_weight_table
 
 
 def _link(w, size: int, fact: list) -> list:
@@ -70,7 +70,7 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
             w_t[i] * w_{n-a-b+t}[k] * L(w_{b-t})[i][k] * L(w_{a-t})[k][i]
 
     over the four tile groups of the module docstring, where w_L is entry L
-    of tilings._interval_weight_table, built once per call, and
+    of closed_forms._interval_weight_table, built once per call, and
     L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!, filled column by column
     by L[i][k+1] = (k - i) L[i][k] + (i + 1) L[i+1][k].  O(n^3) per call.
     """

@@ -231,28 +231,6 @@ def _interval_profile(length: int) -> dict:
     return out
 
 
-def _interval_weight_table(n: int, absolute: bool) -> list:
-    """Signed tile weights of interval boards of length 0..n: entry L is the
-    tuple w_L indexed by tile count m.  A tile of size k carries sign
-    (-1)^(k-1), doubled for k >= 2 in absolute mode (a run may ascend or
-    descend), and w_L[m] sums the tilings into m tiles, so it has sign
-    (-1)^(L-m).  Disjoint boards combine by convolution over m.  As
-    W_L(t) = sum_m w_L[m] t^m, W_0 = 1, W_1 = t and
-
-        W_L = (t - 1) W_{L-1} - [absolute] t W_{L-2}
-
-    (the last cell is a tile of its own, or lengthens the last tile by one;
-    a singleton so lengthened weighs twice in absolute mode), so each length
-    costs O(L) from the two before it.  Built per call; nothing is kept.
-    """
-    table = [(1,), (0, 1)]
-    for length in range(2, n + 1):
-        prev = table[-1]
-        back = (0,) + table[-2] + (0,) if absolute else (0,) * (length + 1)
-        table.append(tuple(a - b - c for a, b, c in zip((0,) + prev, prev + (0,), back)))
-    return table[:n + 1]
-
-
 def run_profile(s: int, n: int) -> RunProfile:
     """Gap-s tiling counts of {1..n} grouped by (tiles, non-singleton tiles).
 

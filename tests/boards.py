@@ -36,7 +36,7 @@ def profile_weights(length, absolute):
     """Signed tile weights of an interval, aggregated from the (m, c) counts
     of tilings._interval_profile: w[m] = (-1)^(length-m) sum_c g(m, c) 2^c
     (2^c only in absolute mode).  The reference for the weight recurrence of
-    tilings._interval_weight_table."""
+    closed_forms._interval_weight_table."""
     w = [0] * (length + 1)
     for (m, c), g in _interval_profile(length).items():
         w[m] += g << c if absolute else g

@@ -1,4 +1,5 @@
-"""The r = 1 specials: alternating sums, recurrences, tile-weight summation."""
+"""The r = 1 specials: alternating sums, recurrences, the tile-weight table and
+its summation."""
 
 import time
 from math import factorial
@@ -17,6 +18,7 @@ from gapperms import (
     riordan_sequence,
     robbins,
 )
+from gapperms.closed_forms import _interval_weight_table
 
 import boards
 
@@ -77,6 +79,30 @@ def test_robbins_examples():
     assert robbins(1) == 1
     assert robbins(3) == 0
     assert robbins(4) == 2  # 24 - 36 + 16 - 2, with the i=0 term read as n!
+
+
+def test_interval_weights_aggregate_compositions():
+    for absolute in (False, True):
+        table = _interval_weight_table(12, absolute)
+        for length in range(0, 13):
+            want = [0] * (length + 1)
+            for mono, ways in boards.interval_terms(length).items():
+                m, runs = sum(mono), sum(mono[1:])
+                want[m] += (-1) ** (length - m) * ways * (2 ** runs if absolute else 1)
+            assert list(table[length]) == want, (length, absolute)
+
+
+def test_interval_weights_match_the_profile_aggregation():
+    for absolute in (False, True):
+        table = _interval_weight_table(80, absolute)
+        assert len(table) == 81
+        for length in range(81):
+            assert table[length] == boards.profile_weights(length, absolute)
+
+
+def test_long_interval_weight_table_ends_in_one_run():
+    w = _interval_weight_table(1500, True)[-1]
+    assert (w[0], w[1], w[-1]) == (0, -2, 1)  # one run of all 1500 values, either way
 
 
 def test_fast_r1_examples():

@@ -1,6 +1,9 @@
 """The engine table: every engine against the oracle inside its scope (the
 spec or its transpose), a loud refusal outside it and for n < 1, and the
-"auto" choice; and the package's public export list."""
+"auto" choice; runners that import their engine module on first use; and the
+package's public export list."""
+
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,8 @@ import gapperms
 from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, cli, compute
 from gapperms.engines import ENGINES, resolve
 from gapperms.oracle import brute_sequence
+
+from test_package import fresh
 
 SPECS = [SequenceSpec(r, s, mode) for r in (1, 2, 3) for s in (1, 2, 3)
          for mode in (SIGNED, ABSOLUTE)]
@@ -86,3 +91,39 @@ def test_public_export_list_is_exact():
     exec("from gapperms import *", namespace)  # AttributeError if a name does not resolve
     assert set(namespace) - {"__builtins__"} == set(gapperms.__all__)
     assert not hasattr(gapperms, "matsuo_map") and not hasattr(gapperms, "MatsuoMap")
+
+
+@pytest.mark.parametrize("spec, engine, module, attr", [
+    (SequenceSpec(1, 2, ABSOLUTE), "r1fast", "closed_forms", "fast_r1"),
+    (SequenceSpec(2, 2, SIGNED), "matsuo", "matsuo", "fast22"),
+    (SequenceSpec(2, 3, ABSOLUTE), "ie", "inclusion_exclusion", "sequence"),
+    (SequenceSpec(2, 3, SIGNED), "oracle", "oracle", "brute_sequence"),
+])
+def test_runners_look_their_function_up_on_the_module_at_call_time(
+        monkeypatch, spec, engine, module, attr):
+    home = importlib.import_module(f"gapperms.{module}")
+    original, calls = getattr(home, attr), []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(home, attr, spy)
+    assert compute(spec, 7, engine) == brute_sequence(spec, 7)
+    assert calls, engine
+
+
+def test_oracle_cap_is_checked_before_the_oracle_module_loads():
+    code = (
+        "import sys\n"
+        "from gapperms import SequenceSpec, compute\n"
+        "from gapperms.engines import resolve\n"
+        "print('gapperms.oracle' in sys.modules)\n"
+        "for call in (lambda: resolve(SequenceSpec(2, 3, 'signed'), 'oracle', 12),\n"
+        "             lambda: compute(SequenceSpec(2, 3, 'signed'), 12, 'oracle')):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(type(exc) is sys.modules['gapperms.oracle'].EnumerationCapError)\n"
+    )
+    assert fresh(code).split() == ["False", "True", "True"]  # 12! would not finish in 60 s

@@ -19,7 +19,7 @@ from gapperms import (
 )
 from gapperms.inclusion_exclusion import partition_sum
 from gapperms.matsuo import _link
-from gapperms.tilings import _interval_weight_table
+from gapperms.closed_forms import _interval_weight_table
 
 from boards import cut_board
 

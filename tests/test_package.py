@@ -70,3 +70,31 @@ def test_counting_and_cli_modules_do_not_import_dataclasses_or_inspect():
     )
     assert "'gapperms.cli'" in added
     assert "'dataclasses'" not in added and "'inspect'" not in added
+
+
+def test_counting_paths_load_only_their_engine_modules(capsys):
+    # a compute served by r1fast or matsuo, after the set-up imports, loads
+    # neither the tiling enumerators, the partition sum nor the oracle
+    commands = [["compute", "--r", "1", "--s", "2", "--mode", "abs", "--n", "30"],
+                ["compute", "--r", "2", "--s", "2", "--n", "12"],
+                ["compute", "--r", "2", "--s", "3", "--n", "9", "--engine", "ie"],
+                ["compute", "--r", "2", "--s", "3", "--n", "7", "--engine", "oracle"],
+                ["tilings", "--r", "3", "--n", "7"]]
+    lazy = ("gapperms.tilings", "gapperms.inclusion_exclusion", "gapperms.oracle")
+    out = fresh(
+        "import sys\n"
+        "from gapperms import closed_forms, matsuo\n"
+        "import gapperms.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    gapperms.cli.main(argv)\n"
+        f"    print([m in sys.modules for m in {lazy!r}])\n"
+    )
+    from gapperms import cli
+
+    want = ""
+    for argv, loaded in zip(commands, ("[False, False, False]", "[False, False, False]",
+                                       "[True, True, False]", "[True, True, True]",
+                                       "[True, True, True]")):
+        assert cli.main(argv) == 0
+        want += capsys.readouterr().out + loaded + "\n"
+    assert out == want

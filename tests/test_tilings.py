@@ -18,7 +18,6 @@ from gapperms import (
 )
 from gapperms.tilings import (
     _interval_factor,
-    _interval_weight_table,
     _tiling_terms,
     _widths,
     pack,
@@ -27,7 +26,7 @@ from gapperms.tilings import (
     unpack,
 )
 
-from boards import interval_terms, profile_weights
+from boards import interval_terms
 
 F35 = {(5,): 1, (3, 1): 2, (1, 2): 1}
 F37 = {
@@ -243,30 +242,6 @@ def test_run_profile_invariants():
                 assert v > 0
                 if c == 0:
                     assert m == n
-
-
-def test_interval_weights_aggregate_compositions():
-    for absolute in (False, True):
-        table = _interval_weight_table(12, absolute)
-        for length in range(0, 13):
-            want = [0] * (length + 1)
-            for mono, count in interval_terms(length).items():
-                m, runs = sum(mono), sum(mono[1:])
-                want[m] += (-1) ** (length - m) * count * (2 ** runs if absolute else 1)
-            assert list(table[length]) == want, (length, absolute)
-
-
-def test_interval_weights_match_the_profile_aggregation():
-    for absolute in (False, True):
-        table = _interval_weight_table(80, absolute)
-        assert len(table) == 81
-        for length in range(81):
-            assert table[length] == profile_weights(length, absolute)
-
-
-def test_long_interval_weight_table_ends_in_one_run():
-    w = _interval_weight_table(1500, True)[-1]
-    assert (w[0], w[1], w[-1]) == (0, -2, 1)  # one run of all 1500 values, either way
 
 
 def test_weight_engines_keep_no_memory_between_calls():
