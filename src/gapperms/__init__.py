@@ -21,8 +21,9 @@ _EXPORTS = {
         "single_violation_at", "violation_profile",
     ),
     "recurrences": (
-        "RecurrenceOperator", "TermTable", "extend", "fit", "format_operator",
-        "parse_operator", "verify",
+        "InexactStepError", "InsufficientTermsError", "RecurrenceOperator",
+        "SingularLeadingTermError", "TermTable", "UnderdeterminedError", "extend", "fit",
+        "format_operator", "parse_operator", "verify",
     ),
     "specs": ("ABSOLUTE", "SIGNED", "ExceptionSpec", "SequenceSpec"),
     "tilings": (

@@ -11,19 +11,24 @@ nullspace, and accept only a one-dimensional nullspace whose operator also
 annihilates a held-out tail.  Neither floating point nor Fraction is used; a
 spurious approximate nullspace would defeat the whole point.
 
-The nullspace is found modulo the prime PRIME first, from window columns
-built out of t(n) mod p and n mod p, and certified:
+The nullspace is found modulo primes, from window columns built out of
+t(n) mod p and n mod p, and certified exactly:
 - Nullity 0 mod p proves nullity 0 over Q (rank over Q >= rank mod p), and
   the exact window is never built.
-- Otherwise the exact window is built, and each of the k kernel vectors mod
-  p is rationally reconstructed, scaled to integers and checked exactly
-  against every row.  Each has 1 at its own dependent column and 0 at the
-  other k - 1, so k vectors that pass are independent over Q, and the
-  nullity over Q is at least k.  It is at most k by the rank inequality, so
-  it is exactly k.
-- If any reconstruction or check fails (an unlucky prime, or heights above
-  sqrt(p/2)), fraction-free (Bareiss) elimination over Python ints decides.
-So the prime can cost time, never an answer.
+- Otherwise the k kernel vectors mod p join, by CRT, the run of primes
+  before p with the same dependent columns (or start a new run), and are
+  rationally reconstructed mod the run's product M.  On a run's first prime,
+  and whenever the lift equals the previous prime's, they are checked
+  exactly against every row.  Each has 1 at its own dependent column and 0
+  at the other k - 1, so k vectors that pass prove nullity >= k over Q, and
+  the rank inequality gives <= k.
+- Until a check passes, the next prime is taken: PRIME, then the primes
+  below it.  A prime whose dependent columns differ from those over Q
+  divides a fixed nonzero product of minors, so there are finitely many;
+  with the same columns, the kernel mod p reduces the one over Q.  Each
+  prime adds about 29 bits to M, and the entries over Q are ratios of minors
+  (Cramer's rule), so the lift is right once M > 2 H**2 for their height H.
+  A wrong lift costs one more prime, never an answer.
 """
 
 import struct
@@ -96,9 +101,10 @@ def _trim(coeffs) -> list:
 
 
 class RecurrenceOperator:
-    """Coefficients p_0 .. p_order, each a constant-first integer list,
-    normalized to integer content 1 with the leading coefficient of p_0
-    positive so operator equality is a plain comparison."""
+    """Coefficients p_0 .. p_order, each a constant-first integer list with
+    trailing zeros trimmed.  Construction does nothing more, so equality
+    compares these lists.  `fit` returns the normal form: integer content 1,
+    with the leading coefficient of p_0 positive."""
 
     def __init__(self, coeffs=()):
         self.coeffs = [_trim(p) for p in coeffs]
@@ -135,17 +141,30 @@ def _reduce(packed: int, n: int, p: int) -> list:
     return [x % p for x in struct.unpack(f"<{n}Q", packed.to_bytes(8 * n, "little"))]
 
 
-def _kernel_mod_p(cols: list) -> list:
-    """A basis of the kernel mod p = PRIME of the residue columns `cols`: one
-    residue list per column that is a combination of the columns before it,
-    with 1 at that column and 0 at every other such column.  Column j is one
-    int with a 64-bit slot per entry: its nrows entries, then ncols slots that
-    start as e_j, so subtracting a multiple of a basis column is one big-int
-    multiply-add.  Basis columns are reduced, not normalized, and kept with
-    the inverse of their pivot (the lowest nonzero row slot).  An addition
-    adds under (p-1)**2 to a slot, so slots are reduced again only after
-    `burst` additions, the most that keep every slot below 2**64."""
-    p = PRIME
+def _primes():
+    """PRIME, read at call time, then every other odd prime below 2**29 - 3,
+    largest first, by Miller-Rabin with the bases 2, 3, 5 and 7 (exact below
+    3.2e9).  A power that is 0 mod n means n divides the base: n is 3, 5 or 7."""
+    first = PRIME
+    yield first
+    for n in range(2**29 - 5, 2, -2):
+        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+        if n != first and all((x := pow(a, n >> s, n)) in (0, 1, n - 1)
+                              or any((x := x * x % n) == n - 1 for _ in range(s - 1))
+                              for a in (2, 3, 5, 7)):
+            yield n
+
+
+def _kernel_mod_p(cols: list, p: int) -> list:
+    """A basis of the kernel mod p of the residue columns `cols`: one pair
+    (j, residue list) per column j that is a combination of the columns
+    before it, the list with 1 at j and 0 at every other such column.  Column
+    j is one int with a 64-bit slot per entry: its nrows entries, then ncols
+    slots that start as e_j, so subtracting a multiple of a basis column is
+    one big-int multiply-add.  Basis columns are reduced, not normalized, and
+    kept with the inverse of their pivot (the lowest nonzero row slot).  An
+    addition adds under (p-1)**2 to a slot, so slots are reduced again only
+    after `burst` additions, the most that keep every slot below 2**64."""
     burst = (2**64 - p) // (p - 1) ** 2
     nrows = len(cols[0])
     size = nrows + len(cols)
@@ -165,79 +184,49 @@ def _kernel_mod_p(cols: list) -> list:
             shift = (rest & -rest).bit_length() - 1 & -64
             basis.append((shift, pow(vec >> shift & _SLOT, -1, p), vec))
         else:
-            kernel.append(residues[nrows:])
+            kernel.append((j, residues[nrows:]))
     return kernel
 
 
-def _rational(a: int, p: int, bound: int):
-    """(n, d) with n = a d mod p, |n| <= bound and 0 < d <= bound, or None
-    (Wang's rational reconstruction, by the extended Euclidean algorithm)."""
-    r0, r1, s0, s1 = p, a, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if abs(s1) > bound:
-        return None
-    return (r1, s1) if s1 > 0 else (-r1, -s1)
+def _lift(vec: list, m: int):
+    """The integer vector proportional to the rational reconstructions n/d of
+    the entries of `vec` mod m, with |n|, |d| <= sqrt(m/2) (Wang's method, by
+    the extended Euclidean algorithm), or None if an entry has none."""
+    bound = isqrt(m // 2)
+    fracs = []
+    for a in vec:
+        r0, r1, s0, s1 = m, a, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > bound:
+            return None
+        fracs.append((r1, s1))
+    scale = lcm(*(d for _, d in fracs))
+    return [n * (scale // d) for n, d in fracs]
 
 
-def _kernel(cols: list, exact_rows):
+def _kernel(residue_columns, exact_rows):
     """Nullity of an integer system and, when it is 1, a kernel vector (else
-    None), from its residue columns; `exact_rows()` only certifies a nonempty
-    kernel mod PRIME or feeds the Bareiss fallback."""
-    p = PRIME
-    bound = isqrt(p // 2)
-    kernel = [[_rational(a, p, bound) for a in vec] for vec in _kernel_mod_p(cols)]
-    if not kernel:
-        return 0, None
-    rows = exact_rows()
-    if any(None in fracs for fracs in kernel):
-        return _bareiss_kernel(rows, len(cols))
-    vecs = []
-    for fracs in kernel:
-        scale = lcm(*(d for _, d in fracs))
-        vecs.append([n * (scale // d) for n, d in fracs])
-    if any(sum(map(mul, row, v)) for row in rows for v in vecs):
-        return _bareiss_kernel(rows, len(cols))
-    return len(vecs), (vecs[0] if len(vecs) == 1 else None)
-
-
-def _bareiss_kernel(rows: list, ncols: int):
-    """_kernel by fraction-free (Bareiss) forward elimination: each update
-    divides by the previous pivot, and Sylvester's identity makes that
-    division exact, so every entry stays an integer minor of the input.  The
-    rank is the number of pivots.
-    """
-    mat = list(rows)
-    pivot_cols = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivot_cols)
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        top = mat[r]
-        p = top[col]
-        for i in range(r + 1, len(mat)):
-            row, f = mat[i], mat[i][col]
-            # entries left of col are already zero in both rows
-            mat[i] = [0] * (col + 1) + [
-                (p * x - f * y) // prev for x, y in zip(row[col + 1:], top[col + 1:])
-            ]
-        prev = p
-        pivot_cols.append(col)
-    nullity = ncols - len(pivot_cols)
-    if nullity != 1:
-        return nullity, None
-    # By Cramer's rule the free entry set to the last pivot (the determinant
-    # of the pivot block) makes every other entry an integer.
-    vec = [0] * ncols
-    vec[next(c for c in range(ncols) if c not in pivot_cols)] = prev
-    for k in reversed(range(len(pivot_cols))):
-        c, row = pivot_cols[k], mat[k]
-        vec[c] = -sum(row[j] * vec[j] for j in range(c + 1, ncols)) // row[c]
-    return 1, vec
+    None).  `residue_columns(p)` gives the system's columns mod p, and
+    `exact_rows()` its rows, built once and only to check a nonempty kernel."""
+    rows = deps = None
+    for p in _primes():
+        kernel = _kernel_mod_p(residue_columns(p), p)
+        if not kernel:
+            return 0, None
+        if [j for j, _ in kernel] != deps:  # p starts a new run
+            deps, m, residues = [j for j, _ in kernel], 1, [[0] * len(v) for _, v in kernel]
+        inv = pow(m, -1, p)
+        residues = [[a + (b - a) * inv % p * m for a, b in zip(old, vec)]
+                    for old, (_, vec) in zip(residues, kernel)]
+        m *= p
+        vecs = [_lift(vec, m) for vec in residues]
+        if None not in vecs and (m == p or vecs == last):
+            rows = exact_rows() if rows is None else rows
+            if not any(sum(map(mul, row, v)) for row in rows for v in vecs):
+                return len(vecs), (vecs[0] if len(vecs) == 1 else None)
+        last = vecs
 
 
 def _normalize(vec: list, order: int, degree: int) -> list:
@@ -258,10 +247,10 @@ def _rows(terms: TermTable, order: int, degree: int, holdout: int) -> list:
             for powers in ([(terms.offset + i) ** e for e in range(degree + 1)],)]
 
 
-def _residue_columns(terms: TermTable, order: int, degree: int, holdout: int) -> list:
-    """The columns of the fit window mod PRIME, in `_rows` order, from t mod p
+def _residue_columns(terms: TermTable, order: int, degree: int, holdout: int,
+                     p: int) -> list:
+    """The columns of the fit window mod p, in `_rows` order, from t mod p
     and n mod p: column (j, e+1) is column (j, e) times n, slot by slot."""
-    p = PRIME
     t = [x % p for x in terms.values]
     stop = len(t) - holdout
     ns = [(terms.offset + i) % p for i in range(order, stop)]
@@ -294,7 +283,7 @@ def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
     if all(v == 0 for v in terms.values):
         raise ValueError("degenerate input: all terms are zero")
 
-    nullity, vec = _kernel(_residue_columns(terms, order, degree, holdout),
+    nullity, vec = _kernel(lambda p: _residue_columns(terms, order, degree, holdout, p),
                            lambda: _rows(terms, order, degree, holdout))
     if nullity == 0:
         return None

@@ -34,7 +34,17 @@ def test_star_import_binds_each_name_to_its_home_module_object():
         for name in names:
             assert namespace[name] is getattr(home, name), name
             assert getattr(gapperms, name) is getattr(home, name), name
-    assert len(gapperms.__all__) == len(set(gapperms.__all__)) == 33
+    assert len(gapperms.__all__) == len(set(gapperms.__all__)) == 37
+
+
+def test_recurrence_errors_are_exported():
+    from gapperms import (InexactStepError, InsufficientTermsError, SingularLeadingTermError,
+                          UnderdeterminedError, recurrences)
+
+    assert InexactStepError is recurrences.InexactStepError
+    assert InsufficientTermsError is recurrences.InsufficientTermsError
+    assert SingularLeadingTermError is recurrences.SingularLeadingTermError
+    assert UnderdeterminedError is recurrences.UnderdeterminedError
 
 
 def test_dir_lists_every_export_before_first_use():

@@ -1,7 +1,8 @@
 """Exact recurrence fitting, verification, extension, serialization."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,6 @@ from gapperms.recurrences import (
     InsufficientTermsError,
     SingularLeadingTermError,
     UnderdeterminedError,
-    _bareiss_kernel,
     _kernel,
     _kernel_mod_p,
     _normalize,
@@ -247,27 +247,30 @@ def primitive(vec):
 
 
 def row_kernel(rows, ncols):
-    """_kernel on an integer matrix: its columns reduced mod PRIME (as patched
-    at call time), with the rows themselves as the exact system."""
-    p = recurrences.PRIME
-    cols = [[x % p for x in col] for col in zip(*rows)] if rows else [[] for _ in range(ncols)]
-    return _kernel(cols, lambda: rows)
+    """_kernel on an integer matrix: its columns reduced mod each prime it
+    asks for, with the rows themselves as the exact system."""
+    columns = list(zip(*rows)) if rows else [()] * ncols
+    return _kernel(lambda p: [[x % p for x in col] for col in columns], lambda: rows)
+
+
+def reference_kernel(rows, ncols):
+    """What _kernel must return, from the Fraction basis."""
+    basis = nullspace_reference(rows, ncols)
+    return len(basis), (primitive(basis[0]) if len(basis) == 1 else None)
 
 
 def check_kernel_against_reference(rows, ncols):
-    """_kernel, and the Bareiss path on its own, against the Fraction basis."""
+    """_kernel against the Fraction basis."""
     basis = nullspace_reference(rows, ncols)
-    results = [kernel(rows, ncols) for kernel in (row_kernel, _bareiss_kernel)]
-    for nullity, vec in results:
-        assert nullity == len(basis)
-        if nullity != 1:
-            assert vec is None
-            continue
-        # an inexact division anywhere in the elimination would break these
-        assert all(isinstance(x, int) for x in vec)
-        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
-        assert primitive(vec) == primitive(basis[0])
-    return (basis[0], results[0][1]) if len(basis) == 1 else None
+    nullity, vec = row_kernel(rows, ncols)
+    assert nullity == len(basis)
+    if nullity != 1:
+        assert vec is None
+        return None
+    assert all(isinstance(x, int) for x in vec)
+    assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    assert primitive(vec) == primitive(basis[0])
+    return basis[0], vec
 
 
 GRID = [
@@ -304,27 +307,55 @@ def fit_outcome(terms, order, degree):
 
 
 @pytest.fixture
-def bareiss_calls(monkeypatch):
-    """Records each call of the Bareiss fallback made through _kernel."""
+def primes_used(monkeypatch):
+    """The primes each _kernel call takes, one list per call."""
     calls = []
+    primes = recurrences._primes
 
-    def counted(rows, ncols):
-        calls.append(ncols)
-        return _bareiss_kernel(rows, ncols)
+    def counted():
+        calls.append([])
+        for p in primes():
+            calls[-1].append(p)
+            yield p
 
-    monkeypatch.setattr(recurrences, "_bareiss_kernel", counted)
+    monkeypatch.setattr(recurrences, "_primes", counted)
     return calls
 
 
+def test_primes_descend_from_the_prime():
+    below = (n for n in range(PRIME, 2, -2) if all(n % d for d in range(3, isqrt(n) + 1, 2)))
+    assert list(islice(recurrences._primes(), 200)) == list(islice(below, 200))
+
+
 @pytest.mark.parametrize("modulus", [2, 3, 7])
-def test_fit_outcomes_do_not_depend_on_the_prime(monkeypatch, bareiss_calls, modulus):
+def test_fit_outcomes_do_not_depend_on_the_prime(monkeypatch, primes_used, modulus):
     cells = [(TermTable(1, values), order, degree)
              for _, values in GRID for order, degree in grid_cells(values)]
     expected = [fit_outcome(*cell) for cell in cells]
-    assert not bareiss_calls  # every grid cell is certified mod PRIME
+    assert primes_used and all(used == [PRIME] for used in primes_used)
+    primes_used.clear()
     monkeypatch.setattr(recurrences, "PRIME", modulus)
     assert [fit_outcome(*cell) for cell in cells] == expected
-    assert bareiss_calls  # a tiny prime is unlucky somewhere, and Bareiss decides
+    assert all(used[0] == modulus for used in primes_used)
+    # a tiny prime is unlucky somewhere, and a further prime decides
+    assert any(len(used) > 1 for used in primes_used)
+
+
+def test_fit_lifts_over_further_primes(primes_used):
+    # coefficients of 40 to 60 bits: far above one prime's bound sqrt(p/2)
+    tall = RecurrenceOperator([[1], [3**25, -(7**20)], [-(2**45), 11**13]])
+    terms = extend(tall, TermTable(1, [1, 2]), 80)
+    assert fit(TermTable(1, terms.values[:40]), order=2, degree=1) == tall
+    assert verify(tall, terms) is None
+    assert len(primes_used) == 1 and len(primes_used[0]) >= 2
+    primes_used.clear()
+    # Riordan's operator has order 4 and degree 1, so its multiples by every
+    # operator of order <= 5 and degree <= 5 fill a 36-dimensional kernel,
+    # whose basis needs more than one prime to reconstruct
+    with pytest.raises(UnderdeterminedError) as exc:
+        fit(TermTable(1, riordan_sequence(150)), order=9, degree=6)
+    assert exc.value.dimension == 36
+    assert len(primes_used) == 1 and len(primes_used[0]) >= 2
 
 
 @st.composite
@@ -333,7 +364,8 @@ def int_matrices(draw):
     that elimination skips pivot columns; often wider than tall."""
     nrows = draw(st.integers(0, 7))
     ncols = draw(st.integers(1, 7))
-    entry = st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12))
+    entry = st.one_of(st.integers(-4, 4), st.integers(-10**12, 10**12),
+                      st.integers(-2**90, 2**90))
     rank = draw(st.integers(0, min(nrows, ncols)))
     base = [[draw(entry) for _ in range(ncols)] for _ in range(rank)]
     weights = [[draw(st.integers(-3, 3)) for _ in base] for _ in range(nrows)]
@@ -362,31 +394,35 @@ def test_kernel_edge_cases():
     assert row_kernel([[0, 0]], 2) == (2, None)
     assert row_kernel([[2, 3]], 2) == (1, [-3, 2])
     assert row_kernel([[0, 5], [0, 7]], 2) == (1, [1, 0])  # first column never pivots
-    assert _bareiss_kernel([[0, 5], [0, 7]], 2) == (1, [5, 0])
     assert row_kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
 
 
-def test_kernel_falls_back_to_bareiss_when_the_screen_prime_is_unlucky(bareiss_calls):
+def test_kernel_takes_a_further_prime_when_the_first_is_unlucky(primes_used):
     p = PRIME
-    # certified mod p: full rank, and one exact kernel vector
+    # certified by the first prime: full rank, and one exact kernel vector
     assert row_kernel([[1, 2], [3, 4], [5, 6]], 2) == (0, None)
     assert row_kernel([[1, 2], [2, 4]], 2) == (1, [-2, 1])
-    assert not bareiss_calls
+    assert primes_used == [[p], [p]]
+    primes_used.clear()
     # full rank over Q, singular mod p: the kernel vector mod p fails the
-    # exact check, and Bareiss proves nullity 0
+    # exact check, and the next prime proves nullity 0
     assert row_kernel([[p, 0], [0, 1]], 2) == (0, None)
-    # nullity 2 mod p but 1 over Q: Bareiss finds the one kernel vector
-    assert row_kernel([[p, 0, 0], [0, 1, 0]], 3) == (1, [0, 0, p])
-    assert len(bareiss_calls) == 2
+    # nullity 2 mod p but 1 over Q: the next prime finds the one kernel vector
+    assert row_kernel([[p, 0, 0], [0, 1, 0]], 3) == (1, [0, 0, 1])
+    assert [len(used) for used in primes_used] == [2, 2]
 
 
-def test_kernel_falls_back_to_bareiss_above_the_reconstruction_bound(bareiss_calls):
+def test_kernel_lifts_above_one_primes_reconstruction_bound(primes_used):
     rows = [[1, -(2**20 + 1)]]  # kernel (2**20 + 1, 1): a height above sqrt(p/2)
-    assert row_kernel(rows, 2) == _bareiss_kernel(rows, 2) == (1, [2**20 + 1, 1])
-    assert len(bareiss_calls) == 1
+    assert row_kernel(rows, 2) == (1, [2**20 + 1, 1])
+    assert len(primes_used[0]) >= 2
+    # 900-bit kernel entries need M > 2 * 2**1800, so more than 1800 / 29 primes
+    rows = [[3**567, -(5**388 + 1)]]
+    assert row_kernel(rows, 2) == (1, [5**388 + 1, 3**567])
+    assert len(primes_used[1]) > 1800 // 29
 
 
-def test_kernel_reduces_slots_between_bursts(bareiss_calls):
+def test_kernel_reduces_slots_between_bursts(primes_used):
     # Column i has 1 in row i and -1 below it; the last column is their sum,
     # so reducing it takes 70 multiply-adds of (p - 1) times residues p - 1,
     # more than one burst.  Without the periodic reduction a slot carries into
@@ -396,14 +432,12 @@ def test_kernel_reduces_slots_between_bursts(bareiss_calls):
     rows = [[1 if c == r else -1 if c < r else 0 for c in range(size)] + [1 - r]
             for r in range(size)] + [[0] * (size + 1)]
     nullity, vec = row_kernel(rows, size + 1)
-    assert not bareiss_calls
+    assert primes_used == [[PRIME]]
     assert nullity == 1 and vec == [-1] * size + [1]
-    assert _bareiss_kernel(rows, size + 1) == (1, [-1] * size + [1])
 
 
 @pytest.mark.parametrize("modulus", [PRIME, 7])
-def test_residue_columns_reduce_the_exact_window(monkeypatch, modulus):
-    monkeypatch.setattr(recurrences, "PRIME", modulus)
+def test_residue_columns_reduce_the_exact_window(modulus):
     signed = [(-3) ** i + i for i in range(30)]
     for values in (riordan_sequence(30), signed):
         # the last window runs through n = modulus, where n^0 = 1 and n^e = 0 after
@@ -413,11 +447,12 @@ def test_residue_columns_reduce_the_exact_window(monkeypatch, modulus):
                 for degree in range(4):
                     for holdout in (0, 5):
                         exact = _rows(terms, order, degree, holdout)
-                        assert _residue_columns(terms, order, degree, holdout) == [
+                        assert _residue_columns(terms, order, degree, holdout,
+                                                modulus) == [
                             [x % modulus for x in col] for col in zip(*exact)]
 
 
-def test_fit_near_the_prime_agrees_with_bareiss(monkeypatch, bareiss_calls):
+def test_fit_near_the_prime_agrees_with_the_fraction_reference(monkeypatch, primes_used):
     # n runs through PRIME; the operators' coefficients shift by about PRIME,
     # so a reconstruction from residues can look right and still be wrong
     fib = [1, 1]
@@ -427,10 +462,10 @@ def test_fit_near_the_prime_agrees_with_bareiss(monkeypatch, bareiss_calls):
              for values in (navarrete_recurrence(1, 40), riordan_sequence(40), fib)
              for order in range(1, 5) for degree in range(3)]
     outcomes = [fit_outcome(*cell) for cell in cells]
-    assert bareiss_calls
+    assert any(len(used) > 1 for used in primes_used)
     assert ([[1], [PRIME - 10, -1], [PRIME - 9, -1]]) in outcomes  # NAV1, shifted
-    monkeypatch.setattr(recurrences, "_kernel",
-                        lambda cols, exact_rows: _bareiss_kernel(exact_rows(), len(cols)))
+    monkeypatch.setattr(recurrences, "_kernel", lambda columns, exact_rows: reference_kernel(
+        exact_rows(), len(columns(PRIME))))
     assert [fit_outcome(*cell) for cell in cells] == outcomes
 
 
@@ -447,15 +482,14 @@ def test_fit_builds_the_exact_window_only_for_a_nonempty_kernel(monkeypatch):
     for cell in cells:
         fit_outcome(*cell)
     nonempty = [(terms, order, degree, 5) for terms, order, degree in cells
-                if _kernel_mod_p(_residue_columns(terms, order, degree, 5))]
+                if _kernel_mod_p(_residue_columns(terms, order, degree, 5, PRIME), PRIME)]
     assert built == nonempty
     assert 0 < len(built) < len(cells)
 
 
-
-def test_kernel_checks_every_vector_before_certifying(bareiss_calls):
+def test_kernel_checks_every_vector_before_certifying(primes_used):
     p = PRIME
     # zero mod p, so the kernel mod p is every e_c, and only a later e_c fails over Q
-    assert row_kernel([[0, p, 0]], 3) == _bareiss_kernel([[0, p, 0]], 3) == (2, None)
+    assert row_kernel([[0, p, 0]], 3) == (2, None)
     assert row_kernel([[0, 0, p], [0, 0, 0]], 3) == (2, None)
-    assert len(bareiss_calls) == 2
+    assert [len(used) for used in primes_used] == [2, 2]
