@@ -16,10 +16,13 @@ Exact integers throughout; cost is driven by the number of partitions in
 the common support of the two enumerators.  The enumerators arrive slotted
 (see tilings): a key packs the parts >= 3 of a group of monomials, and its
 value holds their counts in slots of width n + 1, one per a_2, with a_1
-implied.  The support is probed on the keys; each common key is decoded
-once, each a_i >= 3 contributing a_i!, its share of the sign and its power
-of two, and then the slots of the two values are walked in step against a
-table of a_1! a_2! [2^a_2] and their sign for the weight of that group.
+implied.  The support is probed on the keys.  Each key splits at the field
+boundary above part sizes i with i^2 <= n // 2, and each distinct half is
+decoded once per call: a_i! for each a_i >= 3 with its share of the sign
+and its power of two, which multiply across the halves, and the weight
+sum i a_i, which adds.  Then the slots of the two values are walked in step
+against a table of a_1! a_2! [2^a_2] and their sign for the weight of that
+group.  When both boards are one dict (r = s), the second lookup is skipped.
 """
 
 from math import factorial
@@ -48,28 +51,39 @@ def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
               for w in range(n + 1)]
     fields = [(i, width, (1 << width) - 1, weights(i))
               for i, width in enumerate(_widths(n), start=3)]
-    slot, mask = n + 1, (1 << n + 1) - 1
-    total = 0
-    for key, va in pa.items():
-        vb = pb.get(key)
-        if not vb:
-            continue
-        term, high = 1, 0  # high: the weight of the parts >= 3
+    below = sum(i * i <= n // 2 for i, *_ in fields)  # the fields under the cut
+    cut = sum(width for _, width, _, _ in fields[:below])
+    low_mask = (1 << cut) - 1
+
+    def decode(key, fields):
+        # (signed prod of a_i! [2^a_i], sum of i a_i) over the fields of half a key
+        term, weight_sum = 1, 0
         for i, width, fmask, weight in fields:
             if not key:
                 break
             a = key & fmask
             term *= weight[a]
-            high += i * a
+            weight_sum += i * a
             key >>= width
+        return term, weight_sum
+
+    lows = {low: decode(low, fields[:below]) for low in {key & low_mask for key in pa}}
+    highs = {high: decode(high, fields[below:]) for high in {key >> cut for key in pa}}
+    slot, mask = n + 1, (1 << n + 1) - 1
+    total = 0
+    for key, va in pa.items():
+        vb = va if pa is pb else pb.get(key)
+        if not vb:
+            continue
+        (low_term, low_weight), (high_term, high_weight) = lows[key & low_mask], highs[key >> cut]
         acc = 0
-        for w in tables[high]:
+        for w in tables[low_weight + high_weight]:
             if not (va and vb):
                 break
             acc += (va & mask) * (vb & mask) * w
             va >>= slot
             vb >>= slot
-        total += term * acc
+        total += low_term * high_term * acc
     return total
 
 

@@ -78,12 +78,19 @@ def test_symmetry_in_r_and_s():
 
 def test_sum_over_all_partitions_matches_support_intersection():
     # absent coefficients are zero, so summing over every partition of n
-    # (independent generator) must reproduce the engine's support-restricted sum
+    # (independent generator) must reproduce the engine's support-restricted sum;
+    # from n = 18 on, partition_sum splits each key into two decoded halves
     for r, s, mode, n in [
         (2, 2, SIGNED, 9),
         (2, 3, ABSOLUTE, 8),
         (3, 3, SIGNED, 10),
         (1, 2, ABSOLUTE, 7),
+        (2, 2, SIGNED, 18),
+        (3, 3, ABSOLUTE, 23),
+        (4, 4, SIGNED, 30),
+        (2, 3, ABSOLUTE, 20),
+        (3, 1, SIGNED, 26),
+        (4, 2, ABSOLUTE, 29),
     ]:
         total = 0
         for freqs in partitions(n):
@@ -100,7 +107,11 @@ def test_sum_over_all_partitions_matches_support_intersection():
             if mode == ABSOLUTE:
                 term *= 2 ** (m - (freqs[0] if freqs else 0))
             total += term if (n - m) % 2 == 0 else -term
-        assert total == count(SequenceSpec(r, s, mode), n)
+        assert total == count(SequenceSpec(r, s, mode), n), (r, s, mode, n)
+        for board in (_tiling_terms(r, n), _tiling_terms(s, n)):
+            # one board passed twice skips the second lookup; a copy does not
+            assert partition_sum(board, board, n, mode) == \
+                partition_sum(board, dict(board), n, mode), (r, s, mode, n)
 
 
 def test_all_singleton_term_is_positive():

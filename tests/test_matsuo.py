@@ -47,6 +47,40 @@ def test_link_recurrence_matches_defining_sum():
                     (length, absolute, size)
 
 
+def link_pair_sum(outer, linked, fact):
+    """sum_{i,k} p_i q_k L(f)[i][k] L(g)[k][i] for outer = (p, q), linked = (f, g)."""
+    (p, q), (f, g) = outer, linked
+    size = max(len(p), len(q))
+    lf, lg = link_reference(f, size, fact), link_reference(g, size, fact)
+    return sum(x * y * lf[k][i] * lg[i][k] for i, x in enumerate(p) for k, y in enumerate(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+                min_size=4, max_size=4))
+def test_link_tables_trade_roles(vectors):
+    # rin's duality: the outer weight pair and the tabulated pair may swap
+    x, y, u, v = vectors
+    fact = [factorial(k) for k in range(16)]
+    assert link_pair_sum((x, y), (u, v), fact) == link_pair_sum((u, v), (x, y), fact)
+
+
+def swaps(n, a, b):
+    """Whether rin(n, a, b) swaps the two pairs of tile groups, for each t."""
+    return [max(a, b) - t < max(t, n - a - b + t)
+            for t in range(max(0, a + b - n), min(a, b) + 1)]
+
+
+def test_rin_matches_split_board_sum_across_the_swap():
+    # each call swaps at some t and not at others; with n != a + b the swapped
+    # tables come from two different weight vectors
+    for n, a, b in [(20, 10, 10), (21, 11, 11), (23, 11, 11), (19, 10, 10),
+                    (22, 9, 12), (24, 13, 12), (25, 8, 12)]:
+        assert set(swaps(n, a, b)) == {False, True}, (n, a, b)
+        for mode in (SIGNED, ABSOLUTE):
+            assert rin(n, a, b, mode) == rin_reference(n, a, b, mode), (n, a, b, mode)
+
+
 def test_rin_examples():
     assert rin(3, 2, 3, SIGNED) == 4
     assert rin(3, 1, 1, SIGNED) == 5
