@@ -11,6 +11,8 @@ Subcommands:
 
 Data goes to stdout (or the file named by --bfile / --opfile); diagnostics
 go to stderr.  Exit status is 0 only when nothing mismatched or failed.
+Commands import what they need when they run: only fit, verify and extend
+load `recurrences`, and only tilings loads `tilings`.
 """
 
 import argparse
@@ -30,7 +32,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import engines, recurrences
+from . import engines
 from .specs import ABSOLUTE, SIGNED, SequenceSpec
 
 CACHE_ENV = "GAPPERMS_CACHE_DIR"
@@ -44,7 +46,7 @@ def _bfile_text(values: list, offset: int) -> str:
     return "".join(f"{offset + i} {v}\n" for i, v in enumerate(values))
 
 
-def _parse_bfile(lines, where: str) -> recurrences.TermTable:
+def _parse_bfile(lines, where: str) -> tuple:
     offset = None
     values = []
     for lineno, line in enumerate(lines, start=1):
@@ -64,12 +66,14 @@ def _parse_bfile(lines, where: str) -> recurrences.TermTable:
         values.append(v)
     if offset is None:
         raise ValueError(f"{where}: no terms found")
-    return recurrences.TermTable(offset, values)
+    return offset, values
 
 
-def read_bfile(path: str) -> recurrences.TermTable:
+def read_bfile(path: str):
+    """The b-file at path as a `recurrences.TermTable`."""
+    from .recurrences import TermTable
     with open(path) as fh:
-        return _parse_bfile(fh, path)
+        return TermTable(*_parse_bfile(fh, path))
 
 
 def _emit(text: str, path):
@@ -110,12 +114,12 @@ def _read_cache(path: str, n_max: int):
     if text != body + _trailer(body):
         return None
     try:
-        cached = _parse_bfile(body.splitlines(), path)
+        offset, values = _parse_bfile(body.splitlines(), path)
     except ValueError:
         return None
-    if cached.offset != 1 or not 1 <= n_max <= len(cached.values):
+    if offset != 1 or not 1 <= n_max <= len(values):
         return None
-    return cached.values[:n_max]
+    return values[:n_max]
 
 
 def _write_atomic(path: str, text: str):
@@ -182,9 +186,18 @@ def cmd_tilings(args) -> int:
     return 0
 
 
+def _error(exc, status: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return status
+
+
 def cmd_fit(args) -> int:
+    from . import recurrences
     table = read_bfile(args.bfile)
-    op = recurrences.fit(table, args.order, args.degree, args.holdout)
+    try:
+        op = recurrences.fit(table, args.order, args.degree, args.holdout)
+    except recurrences.UnderdeterminedError as exc:
+        return _error(exc, 1)
     if op is None:
         print(
             f"no recurrence of order {args.order}, degree {args.degree} fits",
@@ -196,6 +209,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import recurrences
     with open(args.opfile) as fh:
         op, _ = recurrences.parse_operator(fh.read())
     table = read_bfile(args.bfile)
@@ -208,10 +222,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from . import recurrences
     with open(args.opfile) as fh:
         op, _ = recurrences.parse_operator(fh.read())
     seeds = read_bfile(args.bfile)
-    table = recurrences.extend(op, seeds, args.n)
+    try:
+        table = recurrences.extend(op, seeds, args.n)
+    except (recurrences.SingularLeadingTermError, recurrences.InexactStepError) as exc:
+        return _error(exc, 1)
     _emit(_bfile_text(table.values, table.offset), args.out)
     return 0
 
@@ -293,13 +311,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (recurrences.UnderdeterminedError, recurrences.SingularLeadingTermError,
-            recurrences.InexactStepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
 
 
 if __name__ == "__main__":

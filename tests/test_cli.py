@@ -323,6 +323,23 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert "holdout=5" in err
 
 
+def test_commands_read_bfiles_through_the_module_attribute(tmp_path, capsys, monkeypatch):
+    # traced benchmark runs time b-file reads by replacing cli.read_bfile
+    bfile, opfile = tmp_path / "a11.txt", tmp_path / "a11.op"
+    assert run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "signed", "--n", "20",
+               "--engine", "navarrete", "--bfile", str(bfile))[0] == 0
+    calls = []
+    read_bfile = cli.read_bfile
+    monkeypatch.setattr(cli, "read_bfile", lambda path: calls.append(path) or read_bfile(path))
+    for argv in (["fit", "--bfile", str(bfile), "--order", "2", "--degree", "1",
+                  "--opfile", str(opfile)],
+                 ["verify", "--opfile", str(opfile), "--bfile", str(bfile)],
+                 ["extend", "--opfile", str(opfile), "--bfile", str(bfile), "--n", "22"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == [str(bfile)], argv[0]
+
+
 def test_fit_refusal_names_bound(tmp_path, capsys):
     bfile = tmp_path / "short.txt"
     bfile.write_text("".join(f"{i} {i}\n" for i in range(1, 6)))

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -108,3 +109,57 @@ def test_counting_paths_load_only_their_engine_modules(capsys):
         assert cli.main(argv) == 0
         want += capsys.readouterr().out + loaded + "\n"
     assert out == want
+
+
+def test_only_fit_verify_and_extend_load_recurrences(tmp_path, capsys):
+    # the counting half of the CLI, its cache reads and its argument errors
+    # included, never loads the guessing half
+    def scripts(d):
+        bfile, opfile = str(d / "b.txt"), str(d / "r.op")
+        compute = ["compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "30",
+                   "--engine", "riordan"]
+        counting = [compute + ["--cache-dir", str(d / "cache")],  # a miss
+                    compute + ["--cache-dir", str(d / "cache")],  # a hit
+                    compute + ["--bfile", bfile],
+                    ["crosscheck", "--r", "1", "--s", "1", "--mode", "abs", "--n", "9",
+                     "--engines", "riordan,r1fast"],
+                    ["tilings", "--r", "2", "--n", "5"],
+                    ["bench", "--r", "1", "--s", "2", "--n", "9", "--engines", "r1fast"],
+                    ["compute", "--r", "1"]]
+        return [(counting, False),
+                ([["fit", "--bfile", bfile, "--order", "4", "--degree", "1",
+                   "--opfile", opfile]], True),
+                ([["verify", "--opfile", opfile, "--bfile", bfile]], True),
+                ([["extend", "--opfile", opfile, "--bfile", bfile, "--n", "34"]], True)]
+
+    def status(argv):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:  # an argparse error
+            return exc.code
+
+    def timeless(text):
+        return re.sub(r" \d+\.\d+s$", " s", text, flags=re.M)
+
+    from gapperms import cli
+
+    got = want = ""
+    for (argvs, loaded), (argvs_here, _) in zip(scripts(tmp_path / "fresh"),
+                                                  scripts(tmp_path / "here")):
+        got += fresh(
+            "import sys\n"
+            "import gapperms.cli\n"
+            "print('gapperms.recurrences' in sys.modules)\n"
+            f"for argv in {argvs!r}:\n"
+            "    try:\n"
+            "        rc = gapperms.cli.main(argv)\n"
+            "    except SystemExit as exc:\n"
+            "        rc = exc.code\n"
+            "    print(rc, 'gapperms.recurrences' in sys.modules)\n"
+        )
+        want += "False\n"
+        for argv in argvs_here:
+            rc = status(argv)
+            want += capsys.readouterr().out + f"{rc} {loaded}\n"
+    assert timeless(got) == timeless(want)
+    assert "2 False" in want and want.count("0 True") == 3
