@@ -5,23 +5,21 @@ polynomials p_0 .. p_rho (constant term first) asserting
 
     p_0(n) t(n) + p_1(n) t(n-1) + ... + p_rho(n) t(n-rho) = 0
 
-for every applicable n.  Fitting is plain undetermined coefficients: set up
-the exact integer linear system over a window of known terms, find its
-nullspace, and accept only a one-dimensional nullspace whose operator also
-annihilates a held-out tail.  Neither floating point nor Fraction is used; a
-spurious approximate nullspace would defeat the whole point.
+for every applicable n; `_residuals` evaluates the left side for `fit`,
+`verify`, `extend` and `apply`.  `fit` solves exactly (no float, no
+Fraction) for the coefficients over a window of known terms, and accepts
+only a one-dimensional nullspace whose operator holds on a held-out tail.
 
 The nullspace is found modulo primes, from window columns built out of
 t(n) mod p and n mod p, and certified exactly:
-- Nullity 0 mod p proves nullity 0 over Q (rank over Q >= rank mod p), and
-  the exact window is never built.
+- Nullity 0 mod p proves nullity 0 over Q (rank over Q >= rank mod p).
 - Otherwise the k kernel vectors mod p join, by CRT, the run of primes
   before p with the same dependent columns (or start a new run), and are
   rationally reconstructed mod the run's product M.  On a run's first prime,
-  and whenever the lift equals the previous prime's, they are checked
-  exactly against every row.  Each has 1 at its own dependent column and 0
-  at the other k - 1, so k vectors that pass prove nullity >= k over Q, and
-  the rank inequality gives <= k.
+  and whenever the lift equals the previous prime's, each is evaluated as an
+  operator on the window.  Each has 1 at its own dependent column and 0 at
+  the other k - 1, so k vectors that pass prove nullity >= k over Q, and the
+  rank inequality gives <= k.
 - Until a check passes, the next prime is taken: PRIME, then the primes
   below it.  A prime whose dependent columns differ from those over Q
   divides a fixed nonzero product of minors, so there are finitely many;
@@ -33,7 +31,6 @@ t(n) mod p and n mod p, and certified exactly:
 
 import struct
 from math import gcd, isqrt, lcm
-from operator import mul
 
 PRIME = 536870909  # 2**29 - 3: a product of two residues fits in 58 bits
 _SLOT = 2**64 - 1  # one packed residue per 64-bit slot
@@ -129,7 +126,22 @@ class RecurrenceOperator:
 
     def apply(self, terms: TermTable, n: int) -> int:
         """Value of sum_j p_j(n) t(n-j); zero whenever the operator holds."""
-        return sum(poly_eval(p, n) * terms[n - j] for j, p in enumerate(self.coeffs))
+        return _residuals(self.coeffs, terms, n, n + 1)[0]
+
+
+def _residuals(coeffs, terms: TermTable, start: int, stop: int) -> list:
+    """sum_j p_j(n) t(n-j) for each n in range(start, stop), one p_j at a
+    time: Horner's rule in n over the range, then a product with t(n-j)."""
+    terms[start - len(coeffs) + 1], terms[stop - 1]  # IndexError outside the table
+    ns, first = range(start, stop), start - terms.offset
+    total = [0] * len(ns)
+    for j, p in enumerate(coeffs):
+        if any(p):
+            vals = [p[-1]] * len(ns)
+            for c in reversed(p[:-1]):
+                vals = [v * n + c for v, n in zip(vals, ns)]
+            total = [s + v * x for s, v, x in zip(total, vals, terms.values[first - j:])]
+    return total
 
 
 def _pack(residues) -> int:
@@ -206,11 +218,11 @@ def _lift(vec: list, m: int):
     return [n * (scale // d) for n, d in fracs]
 
 
-def _kernel(residue_columns, exact_rows):
+def _kernel(residue_columns, holds):
     """Nullity of an integer system and, when it is 1, a kernel vector (else
     None).  `residue_columns(p)` gives the system's columns mod p, and
-    `exact_rows()` its rows, built once and only to check a nonempty kernel."""
-    rows = deps = None
+    `holds(vec)` says whether an integer vector is in its kernel."""
+    deps = None
     for p in _primes():
         kernel = _kernel_mod_p(residue_columns(p), p)
         if not kernel:
@@ -222,35 +234,24 @@ def _kernel(residue_columns, exact_rows):
                     for old, (_, vec) in zip(residues, kernel)]
         m *= p
         vecs = [_lift(vec, m) for vec in residues]
-        if None not in vecs and (m == p or vecs == last):
-            rows = exact_rows() if rows is None else rows
-            if not any(sum(map(mul, row, v)) for row in rows for v in vecs):
-                return len(vecs), (vecs[0] if len(vecs) == 1 else None)
+        if None not in vecs and (m == p or vecs == last) and all(map(holds, vecs)):
+            return len(vecs), (vecs[0] if len(vecs) == 1 else None)
         last = vecs
 
 
-def _normalize(vec: list, order: int, degree: int) -> list:
-    content = gcd(*vec)
-    ints = [x // content for x in vec]
-    coeffs = [ints[j * (degree + 1):(j + 1) * (degree + 1)] for j in range(order + 1)]
+def _normalize(vec: list, degree: int) -> list:
+    content, size = gcd(*vec), degree + 1
+    coeffs = [[x // content for x in vec[i:i + size]] for i in range(0, len(vec), size)]
     lead = _trim(coeffs[0])
     if lead and lead[-1] < 0:
         coeffs = [[-c for c in p] for p in coeffs]
     return coeffs
 
 
-def _rows(terms: TermTable, order: int, degree: int, holdout: int) -> list:
-    """The fit window: one row per n, sum_j sum_e c_{j,e} n^e t(n-j) = 0."""
-    t = terms.values  # t[i] = t(offset + i); each row's powers n**e are built once
-    return [[x * t[i - j] for j in range(order + 1) for x in powers]
-            for i in range(order, len(t) - holdout)
-            for powers in ([(terms.offset + i) ** e for e in range(degree + 1)],)]
-
-
 def _residue_columns(terms: TermTable, order: int, degree: int, holdout: int,
                      p: int) -> list:
-    """The columns of the fit window mod p, in `_rows` order, from t mod p
-    and n mod p: column (j, e+1) is column (j, e) times n, slot by slot."""
+    """The fit window mod p, column (j, e) holding n^e t(n-j) for each n,
+    from t mod p and n mod p: column (j, e+1) is column (j, e) times n."""
     t = [x % p for x in terms.values]
     stop = len(t) - holdout
     ns = [(terms.offset + i) % p for i in range(order, stop)]
@@ -283,18 +284,20 @@ def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
     if all(v == 0 for v in terms.values):
         raise ValueError("degenerate input: all terms are zero")
 
-    nullity, vec = _kernel(lambda p: _residue_columns(terms, order, degree, holdout, p),
-                           lambda: _rows(terms, order, degree, holdout))
+    start, stop = terms.offset + order, terms.last + 1 - holdout
+    nullity, vec = _kernel(
+        lambda p: _residue_columns(terms, order, degree, holdout, p),
+        lambda vec: not any(_residuals(_normalize(vec, degree), terms, start, stop)))
     if nullity == 0:
         return None
     if nullity > 1:
         raise UnderdeterminedError(nullity)
-    coeffs = _normalize(vec, order, degree)
+    coeffs = _normalize(vec, degree)
     if not _trim(coeffs[0]):
         return None  # p_0 vanished: not a usable operator
     op = RecurrenceOperator(coeffs)
-    if any(op.apply(terms, n) for n in range(terms.last - holdout + 1, terms.last + 1)):
-        return None  # the kernel check proved the window rows; the holdout rejects
+    if any(_residuals(op.coeffs, terms, stop, terms.last + 1)):
+        return None  # the kernel check proved the window; the holdout rejects
     return op
 
 
@@ -303,31 +306,28 @@ def verify(op: RecurrenceOperator, terms: TermTable):
     at every applicable index."""
     start = terms.offset + op.order
     if start > terms.last:
-        raise ValueError(
-            f"need at least {op.order + 1} consecutive terms to verify"
-        )
-    for n in range(start, terms.last + 1):
-        if op.apply(terms, n) != 0:
-            return n
-    return None
+        raise ValueError(f"need at least {op.order + 1} consecutive terms to verify")
+    residuals = _residuals(op.coeffs, terms, start, terms.last + 1)
+    return next((start + i for i, r in enumerate(residuals) if r), None)
 
 
 def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
-    """Terms up to index n_max produced by running the recurrence forward
-    from `seeds`.  Division by p_0(n) must be exact at every step."""
+    """Terms up to index n_max from running the recurrence forward from
+    `seeds`, which it must hold on; each division by p_0(n) must be exact."""
     if n_max < seeds.offset:
         raise ValueError(f"n_max={n_max} is below the first seed index {seeds.offset}")
     if len(seeds.values) < op.order:
         raise ValueError(f"seeds must cover at least order={op.order} terms")
+    if n_max > seeds.last and len(seeds.values) > op.order:
+        if (failing := verify(op, seeds)) is not None:
+            raise ValueError(f"the operator fails on the seeds at n={failing}")
     values = list(seeds.values)
     for n in range(seeds.last + 1, n_max + 1):
         p0 = poly_eval(op.coeffs[0], n)
         if p0 == 0:
             raise SingularLeadingTermError(f"p_0({n}) = 0; cannot solve for t({n})")
-        acc = sum(
-            poly_eval(op.coeffs[j], n) * values[n - j - seeds.offset]
-            for j in range(1, op.order + 1)
-        )
+        acc = sum(poly_eval(p, n) * values[n - j - seeds.offset]
+                  for j, p in enumerate(op.coeffs[1:], 1))
         q, rem = divmod(-acc, p0)
         if rem:
             raise InexactStepError(

@@ -421,7 +421,7 @@ def test_extend_inexact_reports_error(tmp_path, capsys):
 
 def test_extend_singular_leading_term_exits_one(tmp_path, capsys):
     seeds = tmp_path / "seeds.txt"
-    seeds.write_text("1 1\n2 1\n")
+    seeds.write_text("1 1\n")
     opfile = tmp_path / "op.txt"
     opfile.write_text("1 1 1\n-3 1\n-1\n")  # (n - 3) t(n) = t(n-1)
     out = tmp_path / "ext.txt"
@@ -429,6 +429,21 @@ def test_extend_singular_leading_term_exits_one(tmp_path, capsys):
                           str(seeds), "--n", "5", "--out", str(out))
     assert (rc, stdout, err) == (1, "", "error: p_0(3) = 0; cannot solve for t(3)\n")
     assert not out.exists()
+
+
+def test_extend_refuses_seeds_the_operator_fails_on(tmp_path, capsys):
+    # the same terms with b-file index 0: verify fails at 4, and extend,
+    # which would otherwise step on to wrong terms, refuses with exit 2
+    b1, b0, opfile = tmp_path / "b1.txt", tmp_path / "b0.txt", tmp_path / "r.op"
+    compute = ["compute", "--r", "1", "--s", "1", "--mode", "abs", "--engine", "riordan"]
+    assert run(capsys, *compute, "--n", "40", "--bfile", str(b1))[0] == 0
+    assert run(capsys, "fit", "--bfile", str(b1), "--order", "4", "--degree", "1",
+               "--opfile", str(opfile))[0] == 0
+    assert run(capsys, *compute, "--n", "20", "--offset", "0", "--bfile", str(b0))[0] == 0
+    assert run(capsys, "verify", "--opfile", str(opfile), "--bfile", str(b0)) == (
+        1, "fail 4\n", "")
+    assert run(capsys, "extend", "--opfile", str(opfile), "--bfile", str(b0),
+               "--n", "25") == (2, "", "error: the operator fails on the seeds at n=4\n")
 
 
 def test_bench_runs(capsys):

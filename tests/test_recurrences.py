@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
+from operator import mul
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +33,8 @@ from gapperms.recurrences import (
     _kernel,
     _kernel_mod_p,
     _normalize,
+    _residuals,
     _residue_columns,
-    _rows,
 )
 
 # t(n) - (n-1) t(n-1) - (n-2) t(n-2) = 0
@@ -90,17 +92,18 @@ def test_fit_absence_and_holdout_rejection():
 
 
 def test_fit_checks_only_the_holdout(monkeypatch):
-    # the kernel check has proved every window row, so fit applies the
-    # operator only at the holdout indices
+    # the kernel check evaluates each candidate on the window, which proves
+    # every window row, so the found operator is evaluated only at the holdout
     calls = []
-    apply = RecurrenceOperator.apply
-    monkeypatch.setattr(RecurrenceOperator, "apply",
-                        lambda op, terms, n: calls.append(n) or apply(op, terms, n))
+    residuals = recurrences._residuals
+    monkeypatch.setattr(recurrences, "_residuals", lambda coeffs, terms, start, stop: (
+        calls.append((start, stop)) or residuals(coeffs, terms, start, stop)))
     terms = TermTable(1, riordan_sequence(44))
     for holdout in (0, 3, 5):
         calls.clear()
         assert fit(terms, order=4, degree=1, holdout=holdout) == RIORDAN
-        assert calls == list(range(45 - holdout, 45))
+        assert calls[-1] == (45 - holdout, 45)
+        assert set(calls[:-1]) == {(5, 45 - holdout)}
 
 
 def test_fit_rejects_all_zero_input():
@@ -126,6 +129,10 @@ def test_verify_success_and_first_failure():
     table2 = TermTable(1, navarrete_recurrence(2, 40))
     nav2 = RecurrenceOperator([[1], [1, -1], [3, -1]])
     assert verify(nav2, table2) is None
+    assert RIORDAN.apply(table, 60) == 0 and RIORDAN.apply(TermTable(1, corrupted), 30) != 0
+    for n in (4, 61):  # t(n - 4) or t(n) lies outside the table
+        with pytest.raises(IndexError):
+            RIORDAN.apply(table, n)
 
 
 def test_verify_needs_enough_terms():
@@ -159,6 +166,16 @@ def test_extend_error_paths():
         extend(RIORDAN, TermTable(1, [1, 0]), 10)  # seeds shorter than order
     with pytest.raises(ValueError, match="n_max=2 is below the first seed index 3"):
         extend(RIORDAN, TermTable(3, [0, 2, 14, 90]), 2)
+
+
+def test_extend_refuses_seeds_the_operator_fails_on():
+    # Riordan's terms shifted to start at index 0: stepping on from them
+    # would serve wrong terms, so extend refuses at the index verify reports
+    shifted = TermTable(0, riordan_sequence(20))
+    assert verify(RIORDAN, shifted) == 4
+    with pytest.raises(ValueError, match="the operator fails on the seeds at n=4"):
+        extend(RIORDAN, shifted, 25)
+    assert extend(RIORDAN, shifted, 19) == shifted  # no step: the seeds come back as given
 
 
 def test_operator_normalization():
@@ -246,11 +263,23 @@ def primitive(vec):
     return [-x for x in ints] if next(x for x in ints if x) < 0 else ints
 
 
+def window_rows(terms, order, degree, holdout):
+    """The fit window as an integer matrix: one row per n, whose dot product
+    with the flat coefficient vector (p_0's coefficients, then p_1's, ...)
+    is sum_j p_j(n) t(n-j): the reference for `_residue_columns` and
+    `_residuals`."""
+    t = terms.values  # t[i] = t(offset + i)
+    return [[x * t[i - j] for j in range(order + 1) for x in powers]
+            for i in range(order, len(t) - holdout)
+            for powers in ([(terms.offset + i) ** e for e in range(degree + 1)],)]
+
+
 def row_kernel(rows, ncols):
     """_kernel on an integer matrix: its columns reduced mod each prime it
-    asks for, with the rows themselves as the exact system."""
+    asks for, and a vector checked exactly against every row."""
     columns = list(zip(*rows)) if rows else [()] * ncols
-    return _kernel(lambda p: [[x % p for x in col] for col in columns], lambda: rows)
+    return _kernel(lambda p: [[x % p for x in col] for col in columns],
+                   lambda vec: not any(sum(map(mul, row, vec)) for row in rows))
 
 
 def reference_kernel(rows, ncols):
@@ -292,10 +321,10 @@ def test_kernel_matches_fraction_reference_on_fit_grid(name, values):
     terms = TermTable(1, values)
     for order, degree in grid_cells(values):
         ncols = (order + 1) * (degree + 1)
-        found = check_kernel_against_reference(_rows(terms, order, degree, 5), ncols)
+        found = check_kernel_against_reference(window_rows(terms, order, degree, 5), ncols)
         if found is not None:
             ref, vec = found
-            assert _normalize(vec, order, degree) == _normalize(primitive(ref), order, degree)
+            assert _normalize(vec, degree) == _normalize(primitive(ref), degree)
 
 
 def fit_outcome(terms, order, degree):
@@ -438,6 +467,9 @@ def test_kernel_reduces_slots_between_bursts(primes_used):
 
 @pytest.mark.parametrize("modulus", [PRIME, 7])
 def test_residue_columns_reduce_the_exact_window(modulus):
+    # the residue columns reduce the window, and the evaluator fit certifies
+    # with equals the window times a vector, for vectors far above any prime
+    rng = Random(modulus)
     signed = [(-3) ** i + i for i in range(30)]
     for values in (riordan_sequence(30), signed):
         # the last window runs through n = modulus, where n^0 = 1 and n^e = 0 after
@@ -446,10 +478,17 @@ def test_residue_columns_reduce_the_exact_window(modulus):
             for order in range(4):
                 for degree in range(4):
                     for holdout in (0, 5):
-                        exact = _rows(terms, order, degree, holdout)
+                        exact = window_rows(terms, order, degree, holdout)
                         assert _residue_columns(terms, order, degree, holdout,
                                                 modulus) == [
                             [x % modulus for x in col] for col in zip(*exact)]
+                        size = (order + 1) * (degree + 1)
+                        vec = [rng.choice((-1, 1)) * rng.getrandbits(bits)
+                               for bits in rng.choices((0, 3, 40, 230), k=size)]
+                        coeffs = [vec[i:i + degree + 1] for i in range(0, size, degree + 1)]
+                        assert _residuals(coeffs, terms, offset + order,
+                                          terms.last + 1 - holdout) == [
+                            sum(map(mul, row, vec)) for row in exact]
 
 
 def test_fit_near_the_prime_agrees_with_the_fraction_reference(monkeypatch, primes_used):
@@ -464,27 +503,31 @@ def test_fit_near_the_prime_agrees_with_the_fraction_reference(monkeypatch, prim
     outcomes = [fit_outcome(*cell) for cell in cells]
     assert any(len(used) > 1 for used in primes_used)
     assert ([[1], [PRIME - 10, -1], [PRIME - 9, -1]]) in outcomes  # NAV1, shifted
-    monkeypatch.setattr(recurrences, "_kernel", lambda columns, exact_rows: reference_kernel(
-        exact_rows(), len(columns(PRIME))))
-    assert [fit_outcome(*cell) for cell in cells] == outcomes
+    reference = []
+    for terms, order, degree in cells:
+        rows = window_rows(terms, order, degree, 5)
+        monkeypatch.setattr(recurrences, "_kernel", lambda columns, holds, rows=rows: (
+            reference_kernel(rows, len(columns(PRIME)))))
+        reference.append(fit_outcome(terms, order, degree))
+    assert reference == outcomes
 
 
-def test_fit_builds_the_exact_window_only_for_a_nonempty_kernel(monkeypatch):
-    built = []
-
-    def counted(*args):
-        built.append(args)
-        return _rows(*args)
-
-    monkeypatch.setattr(recurrences, "_rows", counted)
+def test_fit_checks_exactly_only_for_a_nonempty_kernel(monkeypatch):
+    checks = []
+    kernel = recurrences._kernel
+    monkeypatch.setattr(recurrences, "_kernel", lambda columns, holds: kernel(
+        columns, lambda vec: checks.append(vec) or holds(vec)))
     cells = [(TermTable(1, values), order, degree)
              for _, values in GRID for order, degree in grid_cells(values)]
+    checked = []
     for cell in cells:
+        checks.clear()
         fit_outcome(*cell)
-    nonempty = [(terms, order, degree, 5) for terms, order, degree in cells
-                if _kernel_mod_p(_residue_columns(terms, order, degree, 5, PRIME), PRIME)]
-    assert built == nonempty
-    assert 0 < len(built) < len(cells)
+        checked.append(bool(checks))
+    nonempty = [bool(_kernel_mod_p(_residue_columns(terms, order, degree, 5, PRIME), PRIME))
+                for terms, order, degree in cells]
+    assert checked == nonempty
+    assert 0 < sum(checked) < len(cells)
 
 
 def test_kernel_checks_every_vector_before_certifying(primes_used):
