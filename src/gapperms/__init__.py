@@ -26,10 +26,7 @@ _EXPORTS = {
         "format_operator", "parse_operator", "verify",
     ),
     "specs": ("ABSOLUTE", "SIGNED", "ExceptionSpec", "SequenceSpec"),
-    "tilings": (
-        "RunProfile", "TilingPolynomial", "coefficient", "format_polynomial",
-        "run_profile", "tiling_polynomial", "tiling_polynomial_direct",
-    ),
+    "tilings": ("TilingPolynomial", "coefficient", "format_polynomial", "tiling_polynomial"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

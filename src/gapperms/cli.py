@@ -237,6 +237,8 @@ def cmd_extend(args) -> int:
 def cmd_bench(args) -> int:
     spec = SequenceSpec(args.r, args.s, _mode(args.mode))
     names = _engine_list(args.engines)
+    if not names:
+        raise ValueError("bench needs at least one engine")
     resolved = [engines.resolve(spec, name, args.n) for name in names]
     for name, engine in zip(names, resolved):
         start = time.perf_counter()

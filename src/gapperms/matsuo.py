@@ -44,10 +44,7 @@ Expanding both tables shows that the pairs (x, y) = (w_t, w_{n-a-b+t}) and
     sum_{i,k} x_i y_k L(u)[i][k] L(v)[k][i] = sum_{j,j'} u_j v_j' L(x)[j][j'] L(y)[j'][j].
 
 So for each t, rin sums over the pair with the shorter vectors and
-tabulates the other.  In fast22 the tables then have side min(t, h - t) + 1
-instead of t + 1, which cuts the recurrence steps and the double sum about
-4x.  The first column of each table still takes (2 size - 1) len(w) products
-with w from the longer pair, so a term runs about 2-2.5x faster.
+tabulates the other.  In fast22 the tables then have side min(t, h - t) + 1.
 Cost is O(n^3) big-integer products per term.  Equal vectors share one
 table: (u, v) when a = b, as in fast22, and (x, y) when n = a + b.
 """

@@ -16,8 +16,10 @@ Every gap-r tile lives inside one residue class of {1..n} mod r, where it
 is an interval, so the enumerator factors into a product of r interval
 enumerators, each filled in from a multinomial: (a_1 + a_2 + ...)! /
 (a_1! a_2! ...) compositions of an interval have a_i parts of size i.
-That factorization is the production path; a direct position-by-position
-scan of the board is kept as an independent cross-check.
+That factorization is the production path.  Reference-only and not exported:
+the direct board scan (tiling_polynomial_direct, _bump), read by the tests and
+bench/make_reference.py, and run_profile (RunProfile, _interval_profile),
+read by the tests and by traced bench/ runs.
 
 Internally the enumerator of a board with n cells is slotted.  A key is
 the packed int of a monomial's parts >= 3: `pack` gives part size i >= 3 a

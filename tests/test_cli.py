@@ -1,5 +1,7 @@
 """Command-line behaviour: formats, exit codes, caching, stream separation."""
 
+import random
+
 import pytest
 
 from gapperms import cli, inclusion_exclusion, oracle
@@ -114,6 +116,17 @@ def test_bfile_parse_errors(tmp_path):
     assert ":2:" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 1 1\n", ":1: expected 'n value', got '1 1 1\\n'"),
+    ("# no terms\n\n# here either\n", ": no terms found"),
+])
+def test_bad_bfile_exits_two(tmp_path, capsys, text, message):
+    bfile = tmp_path / "b.txt"
+    bfile.write_text(text)
+    rc, out, err = run(capsys, "fit", "--bfile", str(bfile), "--order", "1", "--degree", "0")
+    assert (rc, out, err) == (2, "", f"error: {bfile}{message}\n")
+
+
 def test_cache_hits_are_byte_identical(tmp_path, capsys):
     cache = tmp_path / "cache"
     args = ["compute", "--r", "1", "--s", "2", "--mode", "abs", "--n", "12",
@@ -215,6 +228,17 @@ def test_warm_cache_does_not_serve_n_below_one(tmp_path, capsys):
         assert rc == 2 and out == "" and "n_max must be >= 1" in err
 
 
+def test_cache_body_from_index_zero_is_a_miss(tmp_path, capsys):
+    # the trailer matches the body, but the cache holds n = 1..N only
+    path = tmp_path / "r1_s1_absolute_riordan.bfile"
+    body = "0 1\n1 1\n2 0\n3 0\n4 2\n5 14\n"
+    path.write_text(body + cli._trailer(body))
+    rc, out, _ = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "5",
+                     "--engine", "riordan", "--cache-dir", str(tmp_path))
+    assert rc == 0 and out == "1 1\n2 0\n3 0\n4 2\n5 14\n"
+    assert path.read_text() == out + cli._trailer(out)
+
+
 def test_crosscheck_agreement(capsys):
     rc, out, err = run(capsys, "crosscheck", "--r", "2", "--s", "2", "--mode", "signed",
                        "--n", "8", "--engines", "oracle,ie,matsuo")
@@ -243,6 +267,17 @@ def test_crosscheck_refuses_a_repeated_engine(capsys):
     assert rc == 2
     assert out == ""
     assert "'riordan' is listed twice" in err
+
+
+@pytest.mark.parametrize("listed, message", [
+    ("riordan", "crosscheck needs at least two engines"),
+    ("auto,ie", "unknown engine 'auto'"),
+    ("nope,ie", "unknown engine 'nope'"),
+])
+def test_crosscheck_refuses_a_bad_engine_list(capsys, listed, message):
+    rc, out, err = run(capsys, "crosscheck", "--r", "1", "--s", "1", "--mode", "abs",
+                       "--n", "5", "--engines", listed)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_crosscheck_reports_first_mismatch(capsys, monkeypatch):
@@ -360,6 +395,14 @@ def test_fit_underdetermined_exits_one(tmp_path, capsys):
     assert not opfile.exists()
 
 
+def test_fit_with_no_operator_exits_one(tmp_path, capsys):
+    rng = random.Random(7)
+    bfile = tmp_path / "random.txt"
+    bfile.write_text("".join(f"{n} {rng.randrange(1, 10**9)}\n" for n in range(1, 40)))
+    rc, out, err = run(capsys, "fit", "--bfile", str(bfile), "--order", "1", "--degree", "0")
+    assert (rc, out, err) == (1, "", "no recurrence of order 1, degree 0 fits\n")
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     bfile = tmp_path / "b.txt"
     bfile.write_text("1 1\n2 2\n3 4\n4 9\n")
@@ -468,3 +511,9 @@ def test_bench_resolves_every_engine_before_timing(capsys):
     assert rc == 2
     assert out == ""
     assert "navarrete" in err and "r=1 or s=1, and signed mode" in err
+
+
+@pytest.mark.parametrize("listed", [",", ""])
+def test_bench_refuses_an_empty_engine_list(capsys, listed):
+    rc, out, err = run(capsys, "bench", "--r", "1", "--s", "1", "--n", "5", "--engines", listed)
+    assert (rc, out, err) == (2, "", "error: bench needs at least one engine\n")

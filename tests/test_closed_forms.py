@@ -114,6 +114,21 @@ def test_fast_r1_examples():
         fast_r1(0, ABSOLUTE, 3)
 
 
+@pytest.mark.parametrize("func, args, message", [
+    (navarrete_sum, (0, 3), "s must be >= 1"),
+    (navarrete_sum, (1, -1), "n must be >= 0"),
+    (navarrete_recurrence, (0, 3), "s must be >= 1"),
+    (navarrete_recurrence, (1, 0), "n_max must be >= 1"),
+    (riordan_sequence, (0,), "n_max must be >= 1"),
+    (robbins, (0,), "n must be >= 1"),
+    (fast_r1, (0, ABSOLUTE, 3), "s must be >= 1"),
+    (fast_r1, (1, ABSOLUTE, 0), "n_max must be >= 1"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_argument_checks(func, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        func(*args)
+
+
 def test_fast_r1_matches_the_board_convolution():
     for s in range(1, 6):
         for mode in (SIGNED, ABSOLUTE):

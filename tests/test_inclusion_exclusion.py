@@ -126,6 +126,8 @@ def test_sequence_wrapper():
     assert sequence(spec, 6) == [count(spec, n) for n in range(1, 7)]
     with pytest.raises(ValueError):
         sequence(spec, 0)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        count(spec, -1)
 
 
 def test_sequence_keeps_at_most_two_boards():

@@ -94,6 +94,8 @@ def test_rin_argument_checks():
         rin(3, 3, 1, SIGNED)
     with pytest.raises(ValueError):
         rin(3, 1, 4, SIGNED)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        fast22(0, SIGNED)
 
 
 def test_rin_matches_oracle_exhaustively():

@@ -145,6 +145,12 @@ def test_enumeration_cap():
     assert brute_count(SequenceSpec(1, 1, SIGNED), 8) == 16687
 
 
+def test_brute_count_refuses_negative_n():
+    with pytest.raises(ValueError, match="^n must be >= 0$") as caught:
+        brute_count(SequenceSpec(1, 1, SIGNED), -1)
+    assert not isinstance(caught.value, EnumerationCapError)
+
+
 def test_spec_validation():
     bad_mode = "mode must be one of ('signed', 'absolute'), got 'weird'"
     for make, message in (

@@ -35,7 +35,26 @@ def test_star_import_binds_each_name_to_its_home_module_object():
         for name in names:
             assert namespace[name] is getattr(home, name), name
             assert getattr(gapperms, name) is getattr(home, name), name
-    assert len(gapperms.__all__) == len(set(gapperms.__all__)) == 37
+    assert len(gapperms.__all__) == len(set(gapperms.__all__)) == 34
+
+
+def test_names_the_benchmark_reads_still_resolve(tmp_path):
+    # bench/child.py (traced runs) and bench/make_reference.py read these
+    # names from src/, and no test or CI step runs make_reference.py
+    from gapperms import cli, recurrences, tilings
+
+    for name in ("RunProfile", "run_profile", "tiling_polynomial_direct"):  # reference-only
+        assert name not in gapperms.__all__ and not hasattr(gapperms, name), name
+    assert tilings.run_profile(2, 3).counts == {(3, 0): 1, (2, 1): 1}
+    assert tilings.tiling_polynomial_direct(1, 2).terms == {(2,): 1, (0, 1): 1}
+    tilings._tiling_terms.cache_clear()
+    assert tilings._tiling_terms.cache_info().currsize == 0
+    path = tmp_path / "b.txt"
+    path.write_text("1 1\n2 0\n3 0\n4 2\n")
+    table = cli.read_bfile(str(path))
+    assert table == recurrences.TermTable(1, [1, 0, 0, 2])
+    op = recurrences.RecurrenceOperator([[1]])
+    assert recurrences.format_operator(op, 1) == "0 0 1\n1\n"
 
 
 def test_recurrence_errors_are_exported():

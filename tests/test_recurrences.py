@@ -198,12 +198,20 @@ def test_operator_normalization():
         hash(op)
 
 
+@pytest.mark.parametrize("order, degree, holdout", [(-1, 0, 5), (1, -1, 5), (1, 0, -1)])
+def test_fit_refuses_negative_sizes(order, degree, holdout):
+    with pytest.raises(ValueError, match="^order, degree and holdout must be >= 0$"):
+        fit(TermTable(1, riordan_sequence(40)), order, degree, holdout)
+
+
 def test_serialization_round_trip():
     text = format_operator(RIORDAN, offset=1)
     assert text == "4 1 1\n1\n-1 -1\n-2 1\n-5 1\n3 -1\n"
     op, offset = parse_operator(text)
     assert op.coeffs == RIORDAN.coeffs
     assert offset == 1
+    with pytest.raises(ValueError, match="^empty operator text$"):
+        parse_operator("")
     with pytest.raises(ValueError):
         parse_operator("not a header\n1\n")
     with pytest.raises(ValueError):

@@ -12,9 +12,7 @@ from gapperms import (
     fast22,
     fast_r1,
     format_polynomial,
-    run_profile,
     tiling_polynomial,
-    tiling_polynomial_direct,
 )
 from gapperms.tilings import (
     _interval_factor,
@@ -22,6 +20,8 @@ from gapperms.tilings import (
     _widths,
     pack,
     partition_weight,
+    run_profile,
+    tiling_polynomial_direct,
     trim,
     unpack,
 )
