@@ -5,8 +5,9 @@ polynomials p_0 .. p_rho (constant term first) asserting
 
     p_0(n) t(n) + p_1(n) t(n-1) + ... + p_rho(n) t(n-rho) = 0
 
-for every applicable n; `_residuals` evaluates the left side for `fit`,
-`verify`, `extend` and `apply`.  `fit` solves exactly (no float, no
+for every applicable n.  `_values` evaluates a p_j by Horner's rule over a
+run of n; `_residuals` sums the left side from it for `fit`, `verify` and
+`apply`, and `extend` steps on it.  `fit` solves exactly (no float, no
 Fraction) for the coefficients over a window of known terms, and accepts
 only a one-dimensional nullspace whose operator holds on a held-out tail.
 
@@ -83,13 +84,6 @@ class InexactStepError(ArithmeticError):
     """extend() produced a non-integer value: wrong operator or wrong seeds."""
 
 
-def poly_eval(coeffs, n: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = total * n + c
-    return total
-
-
 def _trim(coeffs) -> list:
     out = list(coeffs)
     while out and out[-1] == 0:
@@ -129,18 +123,24 @@ class RecurrenceOperator:
         return _residuals(self.coeffs, terms, n, n + 1)[0]
 
 
+def _values(p, ns) -> list:
+    """p(n) for each n in `ns`, by Horner's rule over the whole run at once;
+    zeros for the empty (all-zero) polynomial."""
+    vals = [p[-1] if p else 0] * len(ns)
+    for c in reversed(p[:-1]):
+        vals = [v * n + c for v, n in zip(vals, ns)]
+    return vals
+
+
 def _residuals(coeffs, terms: TermTable, start: int, stop: int) -> list:
     """sum_j p_j(n) t(n-j) for each n in range(start, stop), one p_j at a
-    time: Horner's rule in n over the range, then a product with t(n-j)."""
+    time: its `_values` over the range, then a product with t(n-j)."""
     terms[start - len(coeffs) + 1], terms[stop - 1]  # IndexError outside the table
     ns, first = range(start, stop), start - terms.offset
     total = [0] * len(ns)
     for j, p in enumerate(coeffs):
         if any(p):
-            vals = [p[-1]] * len(ns)
-            for c in reversed(p[:-1]):
-                vals = [v * n + c for v, n in zip(vals, ns)]
-            total = [s + v * x for s, v, x in zip(total, vals, terms.values[first - j:])]
+            total = [s + v * x for s, v, x in zip(total, _values(p, ns), terms.values[first - j:])]
     return total
 
 
@@ -321,13 +321,11 @@ def extend(op: RecurrenceOperator, seeds: TermTable, n_max: int) -> TermTable:
     if n_max > seeds.last and len(seeds.values) > op.order:
         if (failing := verify(op, seeds)) is not None:
             raise ValueError(f"the operator fails on the seeds at n={failing}")
-    values = list(seeds.values)
-    for n in range(seeds.last + 1, n_max + 1):
-        p0 = poly_eval(op.coeffs[0], n)
+    values, ns = list(seeds.values), range(seeds.last + 1, n_max + 1)
+    for n, p0, *ps in zip(ns, *(_values(p, ns) for p in op.coeffs)):
         if p0 == 0:
             raise SingularLeadingTermError(f"p_0({n}) = 0; cannot solve for t({n})")
-        acc = sum(poly_eval(p, n) * values[n - j - seeds.offset]
-                  for j, p in enumerate(op.coeffs[1:], 1))
+        acc = sum(v * values[n - j - seeds.offset] for j, v in enumerate(ps, 1))
         q, rem = divmod(-acc, p0)
         if rem:
             raise InexactStepError(
@@ -357,7 +355,13 @@ def parse_operator(text: str):
         raise ValueError(f"bad operator header {lines[0]!r}") from exc
     if len(lines) != order + 2:
         raise ValueError(f"expected {order + 1} coefficient lines, got {len(lines) - 1}")
-    op = RecurrenceOperator([[int(x) for x in ln.split()] for ln in lines[1:]])
+    coeffs = []
+    for ln in lines[1:]:
+        try:
+            coeffs.append([int(x) for x in ln.split()])
+        except ValueError as exc:
+            raise ValueError(f"bad coefficient line {ln!r}") from exc
+    op = RecurrenceOperator(coeffs)
     if op.degree != degree:
         raise ValueError(f"header says degree {degree}, coefficient lines have degree {op.degree}")
     return op, offset

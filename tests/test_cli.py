@@ -513,6 +513,22 @@ def test_bench_resolves_every_engine_before_timing(capsys):
     assert "navarrete" in err and "r=1 or s=1, and signed mode" in err
 
 
+def test_bench_runs_each_engine_once_before_its_clock_starts(capsys, monkeypatch):
+    # the untimed run at n = 1 takes the lazy module import and first-call
+    # setup out of the timed one, for repeated names and auto too
+    log = []
+    compute, clock = cli.engines.compute, cli.time.perf_counter
+    monkeypatch.setattr(cli.engines, "compute", lambda spec, n, engine: (
+        log.append((engine, n)) or compute(spec, n, engine)))
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: log.append("clock") or clock())
+    rc, out, _ = run(capsys, "bench", "--r", "2", "--s", "2", "--n", "8",
+                     "--engines", "matsuo,matsuo,ie,auto")
+    assert rc == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["matsuo", "matsuo", "ie", "auto"]
+    assert log == [step for engine in ("matsuo", "matsuo", "ie", "matsuo")
+                   for step in ((engine, 1), "clock", (engine, 8), "clock")]
+
+
 @pytest.mark.parametrize("listed", [",", ""])
 def test_bench_refuses_an_empty_engine_list(capsys, listed):
     rc, out, err = run(capsys, "bench", "--r", "1", "--s", "1", "--n", "5", "--engines", listed)

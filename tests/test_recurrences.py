@@ -7,7 +7,7 @@ from operator import mul
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapperms import (
@@ -35,6 +35,7 @@ from gapperms.recurrences import (
     _normalize,
     _residuals,
     _residue_columns,
+    _values,
 )
 
 # t(n) - (n-1) t(n-1) - (n-2) t(n-2) = 0
@@ -148,6 +149,19 @@ def test_extend_examples():
     seeds = TermTable(3, [0, 2, 14, 90])  # only the terms up to n_max come back
     assert extend(RIORDAN, seeds, 5).values == [0, 2, 14]
     assert extend(RIORDAN, seeds, 3).values == [0]
+    skip = RecurrenceOperator([[1], [], [-1]])  # t(n) = t(n-2): p_1 is zero
+    assert extend(skip, TermTable(1, [1, 2]), 6).values == [1, 2, 1, 2, 1, 2]
+    assert extend(RecurrenceOperator([[1]]), TermTable(1, [0]), 4).values == [0] * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.lists(st.integers(-10**20, 10**20), max_size=6),
+       start=st.integers(-40, 40), length=st.integers(0, 12))
+@example(p=[], start=-3, length=5)
+@example(p=[4, 0, -1], start=-7, length=10)
+def test_values_match_the_power_sum(p, start, length):
+    ns = range(start, start + length)
+    assert _values(p, ns) == [sum(c * n**e for e, c in enumerate(p)) for n in ns]
 
 
 def test_extend_round_trips_with_verify():
@@ -176,6 +190,8 @@ def test_extend_refuses_seeds_the_operator_fails_on():
     with pytest.raises(ValueError, match="the operator fails on the seeds at n=4"):
         extend(RIORDAN, shifted, 25)
     assert extend(RIORDAN, shifted, 19) == shifted  # no step: the seeds come back as given
+    with pytest.raises(ValueError, match="the operator fails on the seeds at n=1"):
+        extend(RecurrenceOperator([[1]]), TermTable(1, [5]), 4)  # t(n) = 0, order 0
 
 
 def test_operator_normalization():
@@ -216,6 +232,8 @@ def test_serialization_round_trip():
         parse_operator("not a header\n1\n")
     with pytest.raises(ValueError):
         parse_operator("2 1 1\n1\n1 1\n")  # missing a coefficient line
+    with pytest.raises(ValueError, match="^bad coefficient line 'x'$"):
+        parse_operator("1 0 1\n1\nx\n")
     for text, said, found in (("1 7 1\n1\n-1\n", 7, 0), ("1 0 1\n1 0 1\n-1\n", 0, 2)):
         with pytest.raises(ValueError, match=f"degree {said}.*degree {found}"):
             parse_operator(text)
