@@ -5,12 +5,12 @@ the position board by gap-r tiles and one of the value board by gap-s tiles,
 with matching size profiles.  Summing over the profile alpha (an integer
 partition of n in frequency notation a_1, a_2, ...):
 
-    count = sum_alpha  C(s)_alpha * C(r)_alpha * (-1)^(n - sum a_i)
-            * a_1! a_2! ... [* 2^(a_2 + a_3 + ...) in absolute mode]
+    count = sum_alpha  C(s)_alpha * C(r)_alpha * prod_i a_i! w_i^a_i
 
 where C(g)_alpha counts gap-g tilings with profile alpha, the factorials
-match same-size tiles between the two boards, and the power of two picks a
-direction (ascending or descending) for each non-singleton value run.
+match same-size tiles between the two boards, and w_i, the weight of a
+size-i tile, is its share (-1)^(i - 1) of the sign (-1)^(n - sum a_i),
+doubled for i > 1 in absolute mode: either direction for a value run.
 
 Exact integers throughout; cost is driven by the number of partitions in
 the common support of the two enumerators.  The enumerators arrive slotted
@@ -18,11 +18,11 @@ the common support of the two enumerators.  The enumerators arrive slotted
 value holds their counts in slots of width n + 1, one per a_2, with a_1
 implied.  The support is probed on the keys.  Each key splits at the field
 boundary above part sizes i with i^2 <= n // 2, and each distinct half is
-decoded once per call: a_i! for each a_i >= 3 with its share of the sign
-and its power of two, which multiply across the halves, and the weight
-sum i a_i, which adds.  Then the slots of the two values are walked in step
-against a table of a_1! a_2! [2^a_2] and their sign for the weight of that
-group.  When both boards are one dict (r = s), the second lookup is skipped.
+decoded once per call: a_i! w_i^a_i for each i >= 3, which multiply across
+the halves, and the weight sum i a_i, which adds.  Then the slots of the
+two values are walked in step against a table of a_1! w_1^a_1 a_2! w_2^a_2
+for the weight of that group.  When both boards are one dict (r = s), the
+second lookup is skipped.
 """
 
 from math import factorial
@@ -39,11 +39,9 @@ def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
     absolute = mode == ABSOLUTE
 
     def weights(i):
-        # a_i! [* 2^a_i for runs], signed: n - sum a_i = sum (i - 1) a_i
-        weight = [factorial(a) << (a if absolute and i > 1 else 0) for a in range(n // i + 1)]
-        if i % 2 == 0:
-            weight[1::2] = [-w for w in weight[1::2]]
-        return weight
+        # a_i! times the tile weight w_i raised to a_i
+        tile = (-1) ** (i - 1) << (absolute and i > 1)
+        return [factorial(a) * tile ** a for a in range(n // i + 1)]
 
     w_1, w_2 = weights(1), weights(2)
     # per weight w of the parts >= 3, slot a_2 -> w_1[a_1] * w_2[a_2]
@@ -56,7 +54,7 @@ def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
     low_mask = (1 << cut) - 1
 
     def decode(key, fields):
-        # (signed prod of a_i! [2^a_i], sum of i a_i) over the fields of half a key
+        # (prod of a_i! w_i^a_i, sum of i a_i) over the fields of half a key
         term, weight_sum = 1, 0
         for i, width, fmask, weight in fields:
             if not key:

@@ -27,11 +27,15 @@ def _check_cap(n: int):
         )
 
 
-def _violations(pi: tuple, r: int, s: int, mode: str) -> int:
+def _forbidden(spec: SequenceSpec) -> tuple:
+    """The differences pi[i + r] - pi[i] that violate: s, and -s in absolute mode."""
+    return (spec.s, -spec.s) if spec.mode == ABSOLUTE else (spec.s,)
+
+
+def _violations(pi: tuple, r: int, bad: tuple) -> int:
     count = 0
     for i in range(len(pi) - r):
-        d = pi[i + r] - pi[i]
-        if d == s or (mode == ABSOLUTE and d == -s):
+        if pi[i + r] - pi[i] in bad:
             count += 1
     return count
 
@@ -42,16 +46,13 @@ def brute_count(spec: SequenceSpec, n: int) -> int:
     n = 0 counts the empty permutation as 1.
     """
     _check_cap(n)
-    r, s, mode = spec.r, spec.s, spec.mode
+    r, bad = spec.r, _forbidden(spec)
     total = 0
     for pi in permutations(range(1, n + 1)):
-        ok = True
         for i in range(n - r):
-            d = pi[i + r] - pi[i]
-            if d == s or (mode == ABSOLUTE and d == -s):
-                ok = False
+            if pi[i + r] - pi[i] in bad:
                 break
-        if ok:
+        else:
             total += 1
     return total
 
@@ -69,9 +70,9 @@ def violation_profile(spec: SequenceSpec, n: int) -> list:
     Entry 0 equals brute_count; the entries sum to n!.
     """
     _check_cap(n)
-    profile = [0] * (max(n - spec.r, 0) + 1)
+    profile, bad = [0] * (max(n - spec.r, 0) + 1), _forbidden(spec)
     for pi in permutations(range(1, n + 1)):
-        profile[_violations(pi, spec.r, spec.s, spec.mode)] += 1
+        profile[_violations(pi, spec.r, bad)] += 1
     return profile
 
 
@@ -80,15 +81,9 @@ def single_violation_at(spec: SequenceSpec, n: int, i: int) -> int:
     _check_cap(n)
     if not 1 <= i <= n - spec.r:
         raise ValueError(f"i must lie in 1..{n - spec.r}, got {i}")
-    r, s, mode = spec.r, spec.s, spec.mode
-    total = 0
-    for pi in permutations(range(1, n + 1)):
-        if _violations(pi, r, s, mode) != 1:
-            continue
-        d = pi[i - 1 + r] - pi[i - 1]
-        if d == s or (mode == ABSOLUTE and d == -s):
-            total += 1
-    return total
+    r, bad = spec.r, _forbidden(spec)
+    return sum(1 for pi in permutations(range(1, n + 1))
+               if pi[i - 1 + r] - pi[i - 1] in bad and _violations(pi, r, bad) == 1)
 
 
 def count_with_exceptions(ex: ExceptionSpec) -> int:
@@ -100,19 +95,14 @@ def count_with_exceptions(ex: ExceptionSpec) -> int:
     violating link ascends, so that is its left value.
     """
     _check_cap(ex.n)
-    n, mode = ex.n, ex.mode
-    positions, values = ex.positions, ex.values
+    n, positions, values = ex.n, ex.positions, ex.values
+    bad = _forbidden(SequenceSpec(1, 1, ex.mode))
     total = 0
     for pi in permutations(range(1, n + 1)):
-        ok = True
         for i in range(1, n):
-            d = pi[i] - pi[i - 1]
-            if d != 1 and not (mode == ABSOLUTE and d == -1):
-                continue
-            if i in positions or min(pi[i - 1], pi[i]) in values:
-                continue
-            ok = False
-            break
-        if ok:
+            if (pi[i] - pi[i - 1] in bad and i not in positions
+                    and min(pi[i - 1], pi[i]) not in values):
+                break
+        else:
             total += 1
     return total

@@ -43,6 +43,9 @@ class TermTable:
     def __init__(self, offset: int, values: list):
         if not values:
             raise ValueError("TermTable must hold at least one value")
+        for n, v in enumerate(values, offset):
+            if not isinstance(v, int):
+                raise TypeError(f"t({n}) = {v!r} is not an int")
         self.offset = offset
         self.values = values
 
@@ -98,7 +101,12 @@ class RecurrenceOperator:
     with the leading coefficient of p_0 positive."""
 
     def __init__(self, coeffs=()):
-        self.coeffs = [_trim(p) for p in coeffs]
+        self.coeffs = [list(p) for p in coeffs]
+        for j, p in enumerate(self.coeffs):
+            for e, c in enumerate(p):
+                if not isinstance(c, int):
+                    raise TypeError(f"p_{j} coefficient {e} = {c!r} is not an int")
+        self.coeffs = [_trim(p) for p in self.coeffs]
         if not self.coeffs or not self.coeffs[0]:
             raise ValueError("p_0 must not be identically zero")
 
@@ -351,8 +359,10 @@ def parse_operator(text: str):
         raise ValueError("empty operator text")
     try:
         order, degree, offset = (int(x) for x in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad operator header {lines[0]!r}") from exc
+    except ValueError:
+        order = degree = -1
+    if min(order, degree) < 0:
+        raise ValueError(f"bad operator header {lines[0]!r}")
     if len(lines) != order + 2:
         raise ValueError(f"expected {order + 1} coefficient lines, got {len(lines) - 1}")
     coeffs = []

@@ -42,13 +42,22 @@ def test_violation_profile_examples():
 
 
 def test_profile_sums_and_head():
-    for r, s in [(1, 1), (1, 2), (2, 2), (2, 1), (3, 2)]:
+    for r, s in [(1, 1), (1, 2), (2, 2), (2, 1), (3, 2), (1, 3), (3, 3)]:
         for mode in (SIGNED, ABSOLUTE):
             spec = SequenceSpec(r, s, mode)
-            for n in range(0, 7):
+            for n in range(0, 8):
                 profile = violation_profile(spec, n)
                 assert sum(profile) == factorial(n)
                 assert profile[0] == brute_count(spec, n)
+                if n >= 1 + r:
+                    ones = sum(single_violation_at(spec, n, i) for i in range(1, n - r + 1))
+                    assert ones == profile[1]
+                if n >= max(r, s, 2):
+                    # each of the n - r links meets a forbidden difference in
+                    # (n - s)(n - 2)! permutations, twice as many for +-s
+                    pairs = (n - r) * (n - s) * factorial(n - 2)
+                    expected = 2 * pairs if mode == ABSOLUTE else pairs
+                    assert sum(k * t for k, t in enumerate(profile)) == expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -234,6 +234,9 @@ def test_serialization_round_trip():
         parse_operator("2 1 1\n1\n1 1\n")  # missing a coefficient line
     with pytest.raises(ValueError, match="^bad coefficient line 'x'$"):
         parse_operator("1 0 1\n1\nx\n")
+    for header in ("-2 0 1", "-1 0 1", "1 -1 1"):  # a negative order or degree
+        with pytest.raises(ValueError, match=f"^bad operator header '{header}'$"):
+            parse_operator(f"{header}\n1\n1\n")
     for text, said, found in (("1 7 1\n1\n-1\n", 7, 0), ("1 0 1\n1 0 1\n-1\n", 0, 2)):
         with pytest.raises(ValueError, match=f"degree {said}.*degree {found}"):
             parse_operator(text)
@@ -251,6 +254,20 @@ def test_term_table_indexing():
     assert repr(table) == "TermTable(offset=3, values=[10, 20, 30])"
     with pytest.raises(TypeError):
         hash(table)
+
+
+def test_terms_and_coefficients_must_be_ints():
+    # float terms would run: extend gave t(40) = 1.102780770543278e+47 from
+    # these seeds, wrong from n = 20 on, and verify reported a false 20
+    for values, index in (([1.0, 0, 0, 2], 1), ([1, 0, 0, Fraction(2)], 4), ([1, True, 2.0], 3)):
+        with pytest.raises(TypeError, match=rf"^t\({index}\) = .* is not an int$"):
+            TermTable(1, values)
+    assert extend(RIORDAN, TermTable(1, [1, 0, 0, 2]), 40)[40] == (
+        110278077054327740340160424064903831534968959226)
+    for coeffs, where in (([[1.0]], "p_0 coefficient 0"), ([[1], [-1, 0.0]], "p_1 coefficient 1"),
+                          ([[1], [Fraction(1, 2)]], "p_1 coefficient 0")):
+        with pytest.raises(TypeError, match=f"^{where} = .* is not an int$"):
+            RecurrenceOperator(coeffs)
 
 
 def nullspace_reference(rows, ncols):
