@@ -22,7 +22,7 @@ decoded once per call: a_i! w_i^a_i for each i >= 3, which multiply across
 the halves, and the weight sum i a_i, which adds.  Then the slots of the
 two values are walked in step against a table of a_1! w_1^a_1 a_2! w_2^a_2
 for the weight of that group.  When both boards are one dict (r = s), the
-second lookup is skipped.
+second lookup is skipped and one value is walked, each slot squared.
 """
 
 from math import factorial
@@ -75,12 +75,19 @@ def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
             continue
         (low_term, low_weight), (high_term, high_weight) = lows[key & low_mask], highs[key >> cut]
         acc = 0
-        for w in tables[low_weight + high_weight]:
-            if not (va and vb):
-                break
-            acc += (va & mask) * (vb & mask) * w
-            va >>= slot
-            vb >>= slot
+        if pa is pb:  # one board: each slot count meets itself
+            for w in tables[low_weight + high_weight]:
+                if not va:
+                    break
+                acc += (va & mask) ** 2 * w
+                va >>= slot
+        else:
+            for w in tables[low_weight + high_weight]:
+                if not (va and vb):
+                    break
+                acc += (va & mask) * (vb & mask) * w
+                va >>= slot
+                vb >>= slot
         total += low_term * high_term * acc
     return total
 

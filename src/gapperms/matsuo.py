@@ -46,7 +46,9 @@ Expanding both tables shows that the pairs (x, y) = (w_t, w_{n-a-b+t}) and
 So for each t, rin sums over the pair with the shorter vectors and
 tabulates the other.  In fast22 the tables then have side min(t, h - t) + 1.
 Cost is O(n^3) big-integer products per term.  Equal vectors share one
-table: (u, v) when a = b, as in fast22, and (x, y) when n = a + b.
+table: (u, v) when a = b, as in fast22, and (x, y) when n = a + b.  When
+both hold (fast22 at even n), term t has x = y = w_t and u = v = w_{a-t},
+so the duality maps it onto term a - t: each mirror pair is computed once.
 """
 
 from itertools import accumulate
@@ -81,7 +83,9 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     L(w)[i][k] = sum_j C(i+j, i) * w[j] * (j+k)!, filled column by column
     by L[i][k+1] = (k - i) L[i][k] + (i + 1) L[i+1][k].  Each t sums over
     the shorter of the pairs (w_t, w_{n-a-b+t}) and (w_{b-t}, w_{a-t}) and
-    tabulates the other, by the module docstring's duality.  O(n^3) per call.
+    tabulates the other, by the module docstring's duality.  At a = b = n/2
+    the duality maps term t onto term a - t, so only t <= a/2 is summed and
+    each term but the middle one counts twice.  O(n^3) per call.
     """
     check_mode(mode)
     if not 1 <= a <= n - 1:
@@ -93,16 +97,18 @@ def rin(n: int, a: int, b: int, mode: str) -> int:
     # M = max(a, b) - t, swapped iff M < m); 2m + M peaks at max(a + b, 2n - a - b)
     fact = list(accumulate(range(1, max(a + b, 2 * n - a - b) + 1), mul, initial=1))
     ws = _interval_weight_table(max(a, b, n - max(a, b)), absolute)  # the longest group
+    mirror = a == b and n == a + b  # then term t equals term a - t: the duality
     total = 0
-    for t in range(max(0, a + b - n), min(a, b) + 1):
+    for t in range(max(0, a + b - n), (a // 2 if mirror else min(a, b)) + 1):
         p, q, u, v = ws[t], ws[n - a - b + t], ws[b - t], ws[a - t]
         if max(len(u), len(v)) < max(len(p), len(q)):
             p, q, u, v = u, v, p, q  # the duality: sum over the shorter pair
         size = max(len(p), len(q))  # square tables, so one serves both ways
         lu = _link(u, size, fact)
         lv = lu if v is u else _link(v, size, fact)
-        total += sum(x * sum(y * lu[k][i] * lv[i][k] for k, y in enumerate(q))
-                     for i, x in enumerate(p))
+        term = sum(x * sum(y * lu[k][i] * lv[i][k] for k, y in enumerate(q))
+                   for i, x in enumerate(p))
+        total += term << (mirror and 2 * t != a)  # a mirrored pair counts twice
     return total
 
 

@@ -16,7 +16,9 @@ Every gap-r tile lives inside one residue class of {1..n} mod r, where it
 is an interval, so the enumerator factors into a product of r interval
 enumerators, each filled in from a multinomial: (a_1 + a_2 + ...)! /
 (a_1! a_2! ...) compositions of an interval have a_i parts of size i.
-That factorization is the production path.  Reference-only and not exported:
+That factorization is the production path.  When the class sizes come in
+equal pairs, _board squares the product of one half: gap 2 at even n is
+the square of one class.  Reference-only and not exported:
 the direct board scan (tiling_polynomial_direct, _bump), read by the tests and
 bench/make_reference.py, and run_profile (RunProfile, _interval_profile),
 read by the tests and by traced bench/ runs.
@@ -110,13 +112,30 @@ def _multiply(p: dict, q: dict) -> dict:
     return out
 
 
+def _square(p: dict) -> dict:
+    """_multiply(p, p), taking each unordered pair of keys once."""
+    items = list(p.items())
+    out = {}
+    for i, (ka, ca) in enumerate(items):
+        out[ka + ka] = out.get(ka + ka, 0) + ca * ca
+        twice = 2 * ca
+        for kb, cb in items[i + 1:]:
+            k = ka + kb
+            out[k] = out.get(k, 0) + twice * cb
+    return out
+
+
 def _board(gap: int, n: int, factor) -> dict:
     """Product of factor(L) over the nonempty residue classes of {1..n} mod
-    gap, L being the class size; the empty product is {0: 1}."""
+    gap, L being the class size; the empty product is {0: 1}.  When the
+    sizes, in descending order, come in equal pairs (gap and n both even),
+    the product over one of each pair is squared."""
+    sizes = [(n - j) // gap + 1 for j in range(1, min(gap, n) + 1)]
+    halved = sizes[::2] == sizes[1::2]
     poly = {0: 1}
-    for j in range(1, min(gap, n) + 1):
-        poly = _multiply(poly, factor((n - j) // gap + 1))
-    return poly
+    for size in sizes[::2] if halved else sizes:
+        poly = _multiply(poly, factor(size))
+    return _square(poly) if halved else poly
 
 
 def _check_board(gap: int, n: int):

@@ -163,3 +163,14 @@ def test_partition_sum_matches_tuple_keyed_sum(data, n, mode):
             term *= factorial(a) * (2 ** a if mode == ABSOLUTE and i > 1 else 1)
         expected += term
     assert partition_sum(cut_board(n, cuts_a), cut_board(n, cuts_b), n, mode) == expected
+
+
+@pytest.mark.parametrize("mode", [SIGNED, ABSOLUTE])
+def test_one_board_walk_matches_two_board_walk(mode):
+    # r = s passes one dict twice, and partition_sum squares each slot of it;
+    # a copy takes the two-board walk
+    for gap in range(1, 5):
+        for n in range(21):
+            board = _tiling_terms(gap, n)
+            assert partition_sum(board, board, n, mode) == \
+                partition_sum(board, dict(board), n, mode), (gap, n)

@@ -17,6 +17,7 @@ from gapperms import (
     fast22,
     rin,
 )
+import gapperms.matsuo as matsuo
 from gapperms.inclusion_exclusion import partition_sum
 from gapperms.matsuo import _link
 from gapperms.closed_forms import _interval_weight_table
@@ -79,6 +80,31 @@ def test_rin_matches_split_board_sum_across_the_swap():
         assert set(swaps(n, a, b)) == {False, True}, (n, a, b)
         for mode in (SIGNED, ABSOLUTE):
             assert rin(n, a, b, mode) == rin_reference(n, a, b, mode), (n, a, b, mode)
+
+
+@pytest.mark.parametrize("mode", [SIGNED, ABSOLUTE])
+def test_rin_mirror_at_n_equal_to_a_plus_b(mode):
+    # a = b = n/2: term t mirrors term a - t, so rin sums only t <= a/2
+    for a in range(1, 15):
+        assert rin(2 * a, a, a, mode) == rin_reference(2 * a, a, a, mode), a
+
+
+def test_rin_computes_each_mirror_pair_once(monkeypatch):
+    calls = []
+
+    def counting_link(w, size, fact):
+        calls.append(size)
+        return _link(w, size, fact)
+
+    monkeypatch.setattr(matsuo, "_link", counting_link)
+    for a in range(1, 15):
+        calls.clear()
+        rin(2 * a, a, a, SIGNED)
+        assert len(calls) == a // 2 + 1, a  # one shared table per t <= a/2
+        if a > 1:
+            calls.clear()
+            rin(2 * a - 1, a, a, SIGNED)  # no mirror: every t, two tables when swapped
+            assert len(calls) == sum(1 + swapped for swapped in swaps(2 * a - 1, a, a)), a
 
 
 def test_rin_examples():

@@ -3,7 +3,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapperms import (
@@ -16,6 +16,8 @@ from gapperms import (
 )
 from gapperms.tilings import (
     _interval_factor,
+    _multiply,
+    _square,
     _tiling_terms,
     _widths,
     pack,
@@ -115,6 +117,29 @@ def test_slots_never_carry(gap, n):
     # a carry out of a slot would lose 2^(n+1) - 1 from this total
     assert sum(slots) == 2 ** (n - min(gap, n))
     assert max(slots) < 2 ** (n + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(0, 2 ** 20), st.integers(-10 ** 6, 10 ** 6), max_size=12))
+@example({})
+@example({0: 1})
+def test_square_matches_multiply(p):
+    assert _square(p) == _multiply(p, p)
+
+
+def folded_board(gap, n):
+    """The board as a left fold of _multiply over its residue classes in
+    order: the reference for _board's squared halves."""
+    poly = {0: 1}
+    for j in range(1, min(gap, n) + 1):
+        poly = _multiply(poly, _interval_factor((n - j) // gap + 1, n))
+    return poly
+
+
+def test_board_matches_fold_over_classes():
+    for gap in range(1, 9):
+        for n in range(31):
+            assert _tiling_terms(gap, n) == folded_board(gap, n), (gap, n)
 
 
 def test_interval_tilings_are_compositions():
