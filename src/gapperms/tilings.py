@@ -117,8 +117,8 @@ def _square(p: dict) -> dict:
     items = list(p.items())
     out = {}
     for i, (ka, ca) in enumerate(items):
-        out[ka + ka] = out.get(ka + ka, 0) + ca * ca
-        twice = 2 * ca
+        k, twice = ka + ka, 2 * ca
+        out[k] = out.get(k, 0) + ca * ca
         for kb, cb in items[i + 1:]:
             k = ka + kb
             out[k] = out.get(k, 0) + twice * cb
@@ -128,8 +128,8 @@ def _square(p: dict) -> dict:
 def _board(gap: int, n: int, factor) -> dict:
     """Product of factor(L) over the nonempty residue classes of {1..n} mod
     gap, L being the class size; the empty product is {0: 1}.  When the
-    sizes, in descending order, come in equal pairs (gap and n both even),
-    the product over one of each pair is squared."""
+    sizes, in descending order, come in equal pairs (as for even gap and
+    even n), the product over one of each pair is squared."""
     sizes = [(n - j) // gap + 1 for j in range(1, min(gap, n) + 1)]
     halved = sizes[::2] == sizes[1::2]
     poly = {0: 1}
