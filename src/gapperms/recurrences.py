@@ -16,11 +16,11 @@ t(n) mod p and n mod p, and certified exactly:
 - Nullity 0 mod p proves nullity 0 over Q (rank over Q >= rank mod p).
 - Otherwise the k kernel vectors mod p join, by CRT, the run of primes
   before p with the same dependent columns (or start a new run), and are
-  rationally reconstructed mod the run's product M.  On a run's first prime,
-  and whenever the lift equals the previous prime's, each is evaluated as an
-  operator on the window.  Each has 1 at its own dependent column and 0 at
-  the other k - 1, so k vectors that pass prove nullity >= k over Q, and the
-  rank inequality gives <= k.
+  rationally reconstructed mod the run's product M.  Once every entry
+  reconstructs, each is evaluated as an operator on the window, and this
+  exact check alone accepts it.  Each has 1 at its own dependent column and
+  0 at the other k - 1, so k vectors that pass prove nullity >= k over Q,
+  and the rank inequality gives <= k.
 - Until a check passes, the next prime is taken: PRIME, then the primes
   below it.  A prime whose dependent columns differ from those over Q
   divides a fixed nonzero product of minors, so there are finitely many;
@@ -38,7 +38,7 @@ _SLOT = 2**64 - 1  # one packed residue per 64-bit slot
 
 
 class TermTable:
-    """A run of consecutive sequence values t(offset), t(offset+1), ..."""
+    """Consecutive int values t(offset), t(offset+1), ..., checked only when built."""
 
     def __init__(self, offset: int, values: list):
         if not values:
@@ -95,10 +95,10 @@ def _trim(coeffs) -> list:
 
 
 class RecurrenceOperator:
-    """Coefficients p_0 .. p_order, each a constant-first integer list with
-    trailing zeros trimmed.  Construction does nothing more, so equality
-    compares these lists.  `fit` returns the normal form: integer content 1,
-    with the leading coefficient of p_0 positive."""
+    """Coefficients p_0 .. p_order, each a constant-first list of ints with trailing
+    zeros trimmed, so equality compares these lists.  A non-int raises TypeError when
+    the operator is built; `.coeffs` is not checked after.  `fit` returns the normal
+    form: integer content 1, with the leading coefficient of p_0 positive."""
 
     def __init__(self, coeffs=()):
         self.coeffs = [list(p) for p in coeffs]
@@ -242,9 +242,8 @@ def _kernel(residue_columns, holds):
                     for old, (_, vec) in zip(residues, kernel)]
         m *= p
         vecs = [_lift(vec, m) for vec in residues]
-        if None not in vecs and (m == p or vecs == last) and all(map(holds, vecs)):
+        if None not in vecs and all(map(holds, vecs)):
             return len(vecs), (vecs[0] if len(vecs) == 1 else None)
-        last = vecs
 
 
 def _normalize(vec: list, degree: int) -> list:

@@ -229,14 +229,17 @@ def test_warm_cache_does_not_serve_n_below_one(tmp_path, capsys):
 
 
 def test_cache_body_from_index_zero_is_a_miss(tmp_path, capsys):
-    # the trailer matches the body, but the cache holds n = 1..N only
+    # the trailer matches the body, but the cache holds the lines "n t(n)"
+    # for n = 1..N only
     path = tmp_path / "r1_s1_absolute_riordan.bfile"
-    body = "0 1\n1 1\n2 0\n3 0\n4 2\n5 14\n"
-    path.write_text(body + cli._trailer(body))
-    rc, out, _ = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "5",
-                     "--engine", "riordan", "--cache-dir", str(tmp_path))
-    assert rc == 0 and out == "1 1\n2 0\n3 0\n4 2\n5 14\n"
-    assert path.read_text() == out + cli._trailer(out)
+    for body in ("0 1\n1 1\n2 0\n3 0\n4 2\n5 14\n",  # parses, but from index 0
+                 "1 2 3\n",  # three fields: does not parse
+                 "1 1\n3 0\n"):  # index 2 missing: does not parse
+        path.write_text(body + cli._trailer(body))
+        rc, out, _ = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "abs",
+                         "--n", "5", "--engine", "riordan", "--cache-dir", str(tmp_path))
+        assert rc == 0 and out == "1 1\n2 0\n3 0\n4 2\n5 14\n", body
+        assert path.read_text() == out + cli._trailer(out), body
 
 
 def test_crosscheck_agreement(capsys):
