@@ -31,9 +31,12 @@ one int, sum c << (a_2 * W) with slot width W = n + 1, and
 a_1 = n - 2 a_2 - (weight of the parts >= 3) is implied.  So one big-int
 product multiplies whole a_2 polynomials, and no slot carries: a slot of a
 partial product counts tilings of part of the board, which has at most
-2^(n-1) < 2^W of them.  A board is sized by its n, so the board cache
-keeps only the two that one count reads.  tiling_polynomial, coefficient
-and format_polynomial keep tuple keys at the API boundary.
+2^(n-1) < 2^W of them.  A board is sized by its n; the board cache keeps
+the last two, for coefficient and tiling_polynomial.  inclusion_exclusion
+.count keeps no board: it takes the operands of the last product
+(_operands) and builds the part of the product it needs (_product).
+tiling_polynomial, coefficient and format_polynomial keep tuple keys at the
+API boundary.
 """
 
 from collections import namedtuple
@@ -102,9 +105,10 @@ def unpack(key: int, n: int) -> tuple:
     return tuple(high)  # trimmed: the last field read held the top set bit
 
 
-def _multiply(p: dict, q: dict) -> dict:
-    """Product of two enumerators keyed by packed ints of one layout."""
-    out = {}
+def _multiply(p: dict, q: dict, out=None) -> dict:
+    """Product of two enumerators keyed by packed ints of one layout, added
+    into `out` when given."""
+    out = {} if out is None else out
     for ka, ca in p.items():
         for kb, cb in q.items():
             k = ka + kb
@@ -112,10 +116,10 @@ def _multiply(p: dict, q: dict) -> dict:
     return out
 
 
-def _square(p: dict) -> dict:
-    """_multiply(p, p), taking each unordered pair of keys once."""
+def _square(p: dict, out=None) -> dict:
+    """_multiply(p, p, out), taking each unordered pair of keys once."""
     items = list(p.items())
-    out = {}
+    out = {} if out is None else out
     for i, (ka, ca) in enumerate(items):
         k, twice = ka + ka, 2 * ca
         out[k] = out.get(k, 0) + ca * ca
@@ -125,17 +129,57 @@ def _square(p: dict) -> dict:
     return out
 
 
-def _board(gap: int, n: int, factor) -> dict:
-    """Product of factor(L) over the nonempty residue classes of {1..n} mod
-    gap, L being the class size; the empty product is {0: 1}.  When the
-    sizes, in descending order, come in equal pairs (as for even gap and
-    even n), the product over one of each pair is squared."""
+def _operands(gap: int, n: int, factor) -> tuple:
+    """(p, q) whose product is the product of factor(L) over the nonempty
+    residue classes of {1..n} mod gap, L being the class size; the empty
+    product is {0: 1}.  q is the factor of the last class.  When the sizes,
+    in descending order, come in equal pairs (as for even gap and even n),
+    p is the product over one of each pair and q is p: a square."""
     sizes = [(n - j) // gap + 1 for j in range(1, min(gap, n) + 1)]
     halved = sizes[::2] == sizes[1::2]
     poly = {0: 1}
-    for size in sizes[::2] if halved else sizes:
+    for size in sizes[::2] if halved else sizes[:-1]:
         poly = _multiply(poly, factor(size))
-    return _square(poly) if halved else poly
+    return (poly, poly) if halved else (poly, factor(sizes[-1]))
+
+
+def _classes(p: dict, n: int, parts: int) -> list:
+    """The terms of p, keyed in the layout of board n, split by a_3 + a_4
+    mod `parts`.  (a_3 alone splits less evenly: most keys have a_3 = 0.)"""
+    if parts == 1:
+        return [p]
+    w_3, w_4 = (_widths(n) + (0, 0))[:2]
+    m_3, m_4 = (1 << w_3) - 1, (1 << w_4) - 1
+    out = [{} for _ in range(parts)]
+    for k, c in p.items():
+        out[((k & m_3) + (k >> w_3 & m_4)) % parts][k] = c
+    return out
+
+
+def _product(p: dict, q: dict, n: int, part: int = 0, parts: int = 1) -> dict:
+    """The terms of p * q, keyed in the layout of board n, whose a_3 + a_4
+    is congruent to `part` mod `parts`.  Fields add without
+    carrying, so only classes i of p and j of q (see _classes) with
+    i + j = part (mod parts) meet.  When q is p, equal classes are squared
+    and each pair of distinct classes is multiplied once, doubled."""
+    ps = _classes(p, n, parts)
+    qs = ps if q is p else _classes(q, n, parts)
+    out = {}
+    for i, p_i in enumerate(ps):
+        j = (part - i) % parts
+        if q is not p:
+            _multiply(p_i, qs[j], out)
+        elif i == j:
+            _square(p_i, out)
+        elif i < j:
+            _multiply(p_i, {k: 2 * c for k, c in qs[j].items()}, out)
+    return out
+
+
+def _board(gap: int, n: int, factor) -> dict:
+    """The product of factor(L) over the residue classes of {1..n} mod gap:
+    see _operands."""
+    return _product(*_operands(gap, n, factor), n)
 
 
 def _check_board(gap: int, n: int):
@@ -165,9 +209,11 @@ def _interval_factor(length: int, n: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=2)  # a board serves one n; a count reads at most two
+@lru_cache(maxsize=2)  # a board serves one n
 def _tiling_terms(gap: int, n: int) -> dict:
-    """Shared, cached slotted term dict of board n. Treat as read-only."""
+    """Shared, cached slotted term dict of board n, read by coefficient and
+    tiling_polynomial; inclusion_exclusion.count keeps no board.  Treat as
+    read-only."""
     return _board(gap, n, lambda size: _interval_factor(size, n))
 
 

@@ -1,13 +1,16 @@
 """Partition-sum engine against the oracle and its printed fixture."""
 
-from itertools import zip_longest
+import os
+import threading
+from itertools import product, zip_longest
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapperms import ABSOLUTE, SIGNED, SequenceSpec, brute_count, count, sequence
+from gapperms import (ABSOLUTE, SIGNED, SequenceSpec, brute_count, count, inclusion_exclusion,
+                      sequence)
 from gapperms.inclusion_exclusion import partition_sum
 from gapperms.tilings import _tiling_terms, coefficient, trim
 
@@ -131,9 +134,11 @@ def test_sequence_wrapper():
 
 
 def test_sequence_keeps_at_most_two_boards():
-    # a board is sized by its n, so boards of earlier n are never read again
+    # a board is sized by its n, so boards of earlier n are never read again,
+    # and count keeps none at all
+    _tiling_terms.cache_clear()
     sequence(SequenceSpec(2, 3, SIGNED), 12)
-    assert _tiling_terms.cache_info().currsize <= 2
+    assert _tiling_terms.cache_info().currsize == 0
 
 
 def tuple_cut_board(n, cuts):
@@ -166,7 +171,7 @@ def test_partition_sum_matches_tuple_keyed_sum(data, n, mode):
 
 
 @pytest.mark.parametrize("mode", [SIGNED, ABSOLUTE])
-def test_one_board_walk_matches_two_board_walk(mode):
+def test_one_board_walk_matches_two_board_walk(mode, monkeypatch):
     # r = s passes one dict twice, and partition_sum squares each slot of it;
     # a copy takes the two-board walk
     for gap in range(1, 5):
@@ -174,3 +179,86 @@ def test_one_board_walk_matches_two_board_walk(mode):
             board = _tiling_terms(gap, n)
             assert partition_sum(board, board, n, mode) == \
                 partition_sum(board, dict(board), n, mode), (gap, n)
+    # count in k parts, summed here without forking, against the one-part sum
+    # of the whole boards; r = s passes each part's one board twice
+    monkeypatch.setattr(inclusion_exclusion, "_sum_parts",
+                        lambda parts, part_sum: sum(map(part_sum, range(parts))))
+    for k in (1, 2, 3):
+        monkeypatch.setattr(inclusion_exclusion, "_part_count", lambda pairs: k)
+        for n in range(21):
+            for r, s in product(range(1, 5), repeat=2):
+                whole = partition_sum(_tiling_terms(r, n), _tiling_terms(s, n), n, mode)
+                assert count(SequenceSpec(r, s, mode), n) == whole, (r, s, n, k)
+
+
+def test_part_count_follows_cpus_size_and_threads(monkeypatch):
+    monkeypatch.setattr(inclusion_exclusion, "_cpus", lambda: 3)
+    per_part = inclusion_exclusion._PAIRS_PER_PART
+    assert inclusion_exclusion._part_count(2 * per_part - 1) == 1
+    assert inclusion_exclusion._part_count(2 * per_part) == 2
+    assert inclusion_exclusion._part_count(10 ** 9) == 3
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert inclusion_exclusion._part_count(10 ** 9) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert inclusion_exclusion._part_count(10 ** 9) == 1
+
+
+def forking(monkeypatch, cpus):
+    """Force `cpus` parts on every count, and record each fork's pid."""
+    monkeypatch.setattr(inclusion_exclusion, "_cpus", lambda: cpus)
+    monkeypatch.setattr(inclusion_exclusion, "_PAIRS_PER_PART", 1)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_count_reaps_its_workers(monkeypatch):
+    expected = [count(SequenceSpec(3, 2, mode), 20) for mode in (SIGNED, ABSOLUTE)]
+    forks = forking(monkeypatch, 3)
+    assert [count(SequenceSpec(3, 2, mode), 20) for mode in (SIGNED, ABSOLUTE)] == expected
+    assert len(forks) == 4
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("in_worker", [True, False])
+def test_failed_part_raises_and_reaps(monkeypatch, capfd, in_worker):
+    forks = forking(monkeypatch, 2)
+    parent, original = os.getpid(), inclusion_exclusion.partition_sum
+
+    def failing(*args):
+        if (os.getpid() != parent) == in_worker:
+            raise MemoryError("part lost")
+        return original(*args)
+
+    monkeypatch.setattr(inclusion_exclusion, "partition_sum", failing)
+    with pytest.raises(ChildProcessError if in_worker else MemoryError):
+        count(SequenceSpec(4, 4, ABSOLUTE), 20)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert ("part lost" in capfd.readouterr().err) == in_worker
+
+
+def test_one_cpu_counts_in_process(monkeypatch):
+    monkeypatch.setattr(inclusion_exclusion, "_cpus", lambda: 1)
+    monkeypatch.setattr(inclusion_exclusion, "_PAIRS_PER_PART", 1)
+    monkeypatch.setattr(os, "fork", None)  # a call would raise TypeError
+    assert count(SequenceSpec(4, 4, SIGNED), 10) == A44_FIRST_TEN[-1]

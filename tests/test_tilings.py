@@ -17,6 +17,8 @@ from gapperms import (
 from gapperms.tilings import (
     _interval_factor,
     _multiply,
+    _operands,
+    _product,
     _square,
     _tiling_terms,
     _widths,
@@ -137,9 +139,20 @@ def folded_board(gap, n):
 
 
 def test_board_matches_fold_over_classes():
+    # and its k parts, by a_3 + a_4 mod k, split its keys between them
     for gap in range(1, 9):
         for n in range(31):
-            assert _tiling_terms(gap, n) == folded_board(gap, n), (gap, n)
+            board = _tiling_terms(gap, n)
+            assert board == folded_board(gap, n), (gap, n)
+            operands = _operands(gap, n, lambda size: _interval_factor(size, n))
+            for k in (2, 3):
+                merged = {}
+                for part in range(k):
+                    for key, value in _product(*operands, n, part, k).items():
+                        a_3_a_4 = sum(unpack(key, n)[:2])
+                        assert a_3_a_4 % k == part and key not in merged, (gap, n, k, key)
+                        merged[key] = value
+                assert merged == board, (gap, n, k)
 
 
 def test_interval_tilings_are_compositions():
