@@ -13,16 +13,16 @@ size-i tile, is its share (-1)^(i - 1) of the sign (-1)^(n - sum a_i),
 doubled for i > 1 in absolute mode: either direction for a value run.
 
 Exact integers throughout; cost is driven by the number of partitions in
-the common support of the two enumerators.  The enumerators arrive slotted
-(see tilings): a key packs the parts >= 3 of a group of monomials, and its
-value holds their counts in slots of width n + 1, one per a_2, with a_1
-implied.  The support is probed on the keys.  Each key splits at the field
-boundary above part sizes i with i^2 <= n // 2, and each distinct half is
-decoded once per call: a_i! w_i^a_i for each i >= 3, which multiply across
-the halves, and the weight sum i a_i, which adds.  Then the slots of the
-two values are walked in step against a table of a_1! w_1^a_1 a_2! w_2^a_2
-for the weight of that group.  When both boards are one dict (r = s), the
-second lookup is skipped and one value is walked, each slot squared.
+the common support of the two enumerators.  They arrive slotted, one key
+per group of monomials and one slot per a_2, in the layout that tilings
+describes and tilings._fields lists.  The support is probed on the keys.
+Each key splits at the field boundary above part sizes i with
+i^2 <= n // 2, and each distinct half is decoded once per call:
+a_i! w_i^a_i for each i >= 3, which multiply across the halves, and the
+weight sum i a_i, which adds.  Then the slots of the two values are walked
+in step against a table of a_1! w_1^a_1 a_2! w_2^a_2 for the weight of
+that group.  When both boards are one dict (r = s), the second lookup is
+skipped and one value is walked, each slot squared.
 
 A count splits into k parts that add up to it.  Part w keeps the keys whose
 a_3 + a_4 is w mod k.  The fields of a key never carry into each other, so
@@ -42,7 +42,7 @@ import sys
 from math import factorial
 
 from .specs import ABSOLUTE, SequenceSpec
-from .tilings import _interval_factor, _operands, _product, _widths
+from .tilings import _fields, _interval_factor, _operands, _product
 
 # The fewest last-product key pairs per part.  A forked part costs about
 # 2.5 ms more than the same part in-process (the fork, the worker's first
@@ -68,26 +68,25 @@ def partition_sum(pa: dict, pb: dict, n: int, mode: str) -> int:
     # per weight w of the parts >= 3, slot a_2 -> w_1[a_1] * w_2[a_2]
     tables = [[w_1[n - w - 2 * a] * w_2[a] for a in range((n - w) // 2 + 1)]
               for w in range(n + 1)]
-    fields = [(i, width, (1 << width) - 1, weights(i))
-              for i, width in enumerate(_widths(n), start=3)]
+    fields = [(i, shift, fmask, weights(i)) for i, shift, fmask in _fields(n)]
     below = sum(i * i <= n // 2 for i, *_ in fields)  # the fields under the cut
-    cut = sum(width for _, width, _, _ in fields[:below])
+    cut = fields[below][1] if fields else 0  # the shift of the first field above it
     low_mask = (1 << cut) - 1
 
     def decode(key, fields):
         # (prod of a_i! w_i^a_i, sum of i a_i) over the fields of half a key
         term, weight_sum = 1, 0
-        for i, width, fmask, weight in fields:
-            if not key:
+        for i, shift, fmask, weight in fields:
+            a = key >> shift
+            if not a:
                 break
-            a = key & fmask
+            a &= fmask
             term *= weight[a]
             weight_sum += i * a
-            key >>= width
         return term, weight_sum
 
     lows = {low: decode(low, fields[:below]) for low in {key & low_mask for key in pa}}
-    highs = {high: decode(high, fields[below:]) for high in {key >> cut for key in pa}}
+    highs = {high: decode(high << cut, fields[below:]) for high in {key >> cut for key in pa}}
     slot, mask = n + 1, (1 << n + 1) - 1
     total = 0
     for key, va in pa.items():

@@ -17,17 +17,18 @@ is an interval, so the enumerator factors into a product of r interval
 enumerators, each filled in from a multinomial: (a_1 + a_2 + ...)! /
 (a_1! a_2! ...) compositions of an interval have a_i parts of size i.
 That factorization is the production path.  When the class sizes come in
-equal pairs, _board squares the product of one half: gap 2 at even n is
-the square of one class.  Reference-only and not exported:
-the direct board scan (tiling_polynomial_direct, _bump), read by the tests and
-bench/make_reference.py, and run_profile (RunProfile, _interval_profile),
-read by the tests and by traced bench/ runs.
+equal pairs, the board is the square of the product of one half (_operands,
+_product): gap 2 at even n is the square of one class.  Reference-only and
+not exported: the direct board scan (tiling_polynomial_direct, _bump), read
+by the tests and bench/make_reference.py, and run_profile (RunProfile,
+_interval_profile), read by the tests and by traced bench/ runs.
 
 Internally the enumerator of a board with n cells is slotted.  A key is
-the packed int of a monomial's parts >= 3: `pack` gives part size i >= 3 a
-bit field of width (n // i).bit_length(), part 3 at the bottom.  Each a_i
-on the board is at most n // i, so adding keys never carries.  The value is
-one int, sum c << (a_2 * W) with slot width W = n + 1, and
+the packed int of a monomial's parts >= 3: part size i >= 3 has a bit
+field of width (n // i).bit_length(), part 3 at the bottom, whose shift and
+mask _fields(n) lists; every reader of keys takes them from there.  Each
+a_i on the board is at most n // i, so adding keys never carries.  The
+value is one int, sum c << (a_2 * W) with slot width W = n + 1, and
 a_1 = n - 2 a_2 - (weight of the parts >= 3) is implied.  So one big-int
 product multiplies whole a_2 polynomials, and no slot carries: a slot of a
 partial product counts tilings of part of the board, which has at most
@@ -41,7 +42,6 @@ API boundary.
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial
 
 
@@ -79,29 +79,30 @@ def _bump(freqs: tuple, size: int) -> tuple:
 
 
 @lru_cache(maxsize=512)
-def _widths(n: int) -> tuple:
-    """Bit-field widths of part sizes 3..n in the packed layout of board n."""
-    return tuple((n // i).bit_length() for i in range(3, n + 1))
+def _fields(n: int) -> tuple:
+    """(i, shift, mask) of the bit field of each part size i = 3..n in the
+    packed layout of board n: the one table of that layout."""
+    fields, shift = [], 0
+    for i in range(3, n + 1):
+        width = (n // i).bit_length()
+        fields.append((i, shift, (1 << width) - 1))
+        shift += width
+    return tuple(fields)
 
 
 def pack(high, n: int) -> int:
     """Packed key of the parts >= 3, high = (a_3, a_4, ...), on a board with
     n cells.  Each a_i must lie in 0..n // i."""
-    key = shift = 0
-    for a, width in zip(high, _widths(n)):
-        key |= a << shift
-        shift += width
-    return key
+    return sum(a << shift for a, (_, shift, _) in zip(high, _fields(n)))
 
 
 def unpack(key: int, n: int) -> tuple:
     """(a_3, a_4, ...) of a packed key of board n, trailing zeros trimmed."""
     high = []
-    for width in _widths(n):
-        if not key:
+    for _, shift, mask in _fields(n):
+        if not key >> shift:
             break
-        high.append(key & ((1 << width) - 1))
-        key >>= width
+        high.append(key >> shift & mask)
     return tuple(high)  # trimmed: the last field read held the top set bit
 
 
@@ -148,11 +149,10 @@ def _classes(p: dict, n: int, parts: int) -> list:
     mod `parts`.  (a_3 alone splits less evenly: most keys have a_3 = 0.)"""
     if parts == 1:
         return [p]
-    w_3, w_4 = (_widths(n) + (0, 0))[:2]
-    m_3, m_4 = (1 << w_3) - 1, (1 << w_4) - 1
+    (_, _, m_3), (_, s_4, m_4) = (_fields(n) + ((0, 0, 0),) * 2)[:2]
     out = [{} for _ in range(parts)]
     for k, c in p.items():
-        out[((k & m_3) + (k >> w_3 & m_4)) % parts][k] = c
+        out[((k & m_3) + (k >> s_4 & m_4)) % parts][k] = c
     return out
 
 
@@ -176,12 +176,6 @@ def _product(p: dict, q: dict, n: int, part: int = 0, parts: int = 1) -> dict:
     return out
 
 
-def _board(gap: int, n: int, factor) -> dict:
-    """The product of factor(L) over the residue classes of {1..n} mod gap:
-    see _operands."""
-    return _product(*_operands(gap, n, factor), n)
-
-
 def _check_board(gap: int, n: int):
     if gap < 1:
         raise ValueError("gap must be >= 1")
@@ -195,7 +189,7 @@ def _interval_factor(length: int, n: int) -> dict:
     rest cells left) is a key, whose slot a_2 holds the multinomial
     (a_1 + a_2 + b)! / (a_1! a_2! den) with a_1 = rest - 2 a_2."""
     fact = [factorial(k) for k in range(length + 1)]
-    shifts = list(accumulate(_widths(n), initial=0))  # part i at shifts[i - 3]
+    shifts = [shift for _, shift, _ in _fields(n)]  # part i at shifts[i - 3]
     out = {}
 
     def walk(low, key, b, rest, den):
@@ -214,7 +208,7 @@ def _tiling_terms(gap: int, n: int) -> dict:
     """Shared, cached slotted term dict of board n, read by coefficient and
     tiling_polynomial; inclusion_exclusion.count keeps no board.  Treat as
     read-only."""
-    return _board(gap, n, lambda size: _interval_factor(size, n))
+    return _product(*_operands(gap, n, lambda size: _interval_factor(size, n)), n)
 
 
 def tiling_polynomial(r: int, n: int) -> TilingPolynomial:
@@ -307,8 +301,8 @@ def run_profile(s: int, n: int) -> RunProfile:
     """
     _check_board(s, n)
     width = n.bit_length()  # (m, c) packs as m | c << width; c <= m <= n
-    counts = _board(s, n, lambda size: {m | c << width: v
-                                        for (m, c), v in _interval_profile(size).items()})
+    counts = _product(*_operands(s, n, lambda size: {m | c << width: v for (m, c), v
+                                                     in _interval_profile(size).items()}), n)
     mask = (1 << width) - 1
     return RunProfile({(k & mask, k >> width): v for k, v in counts.items()})
 

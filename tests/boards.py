@@ -4,7 +4,8 @@ from functools import lru_cache
 from math import factorial
 
 from gapperms.specs import ABSOLUTE
-from gapperms.tilings import _board, _bump, _interval_factor, _interval_profile, _multiply
+from gapperms.tilings import (_bump, _interval_factor, _interval_profile, _multiply, _operands,
+                              _product)
 
 
 @lru_cache(maxsize=None)
@@ -45,9 +46,12 @@ def profile_weights(length, absolute):
 
 def fast_r1(s, mode, n_max):
     """closed_forms.fast_r1 by dict convolution: sum_m m! P[m], P the
-    tilings._board product of the profile_weights of the residue classes.
+    tilings._product of the profile_weights of the residue classes.
     The reference for the packed product."""
     absolute = mode == ABSOLUTE
-    return [sum(factorial(m) * c for m, c in
-                _board(s, n, lambda size: dict(enumerate(profile_weights(size, absolute)))).items())
+
+    def weights(size):
+        return dict(enumerate(profile_weights(size, absolute)))
+
+    return [sum(factorial(m) * c for m, c in _product(*_operands(s, n, weights), n).items())
             for n in range(1, n_max + 1)]

@@ -138,14 +138,15 @@ def test_criterion_5_matsuo_path():
 
         def time_of(fn):
             start = time.perf_counter()
-            fn()
-            return time.perf_counter() - start
+            value = fn()
+            return value, time.perf_counter() - start
 
         ratios = []
         for n in (32, 48):
-            t_fast = time_of(lambda: fast22(n, SIGNED))
+            fast, t_fast = time_of(lambda: fast22(n, SIGNED))
             _clear_tiling_caches()
-            t_ie = time_of(lambda: count(SequenceSpec(2, 2, SIGNED), n))
+            ie, t_ie = time_of(lambda: count(SequenceSpec(2, 2, SIGNED), n))
+            assert fast == ie, n
             ratios.append(t_fast / t_ie)
         assert ratios[1] < ratios[0], f"ratio did not drop: {ratios}"
 

@@ -15,13 +15,13 @@ from gapperms import (
     tiling_polynomial,
 )
 from gapperms.tilings import (
+    _fields,
     _interval_factor,
     _multiply,
     _operands,
     _product,
     _square,
     _tiling_terms,
-    _widths,
     pack,
     partition_weight,
     run_profile,
@@ -131,7 +131,7 @@ def test_square_matches_multiply(p):
 
 def folded_board(gap, n):
     """The board as a left fold of _multiply over its residue classes in
-    order: the reference for _board's squared halves."""
+    order: the reference for the squared halves of _operands and _product."""
     poly = {0: 1}
     for j in range(1, min(gap, n) + 1):
         poly = _multiply(poly, _interval_factor((n - j) // gap + 1, n))
@@ -238,8 +238,11 @@ def test_pack_round_trip_and_addition(data, n):
 
 @pytest.mark.parametrize("n", [2 ** k for k in range(7)] + [2 ** k - 1 for k in range(1, 7)])
 def test_pack_fields_at_powers_of_two(n):
-    widths = _widths(n)
-    assert len(widths) == max(n - 2, 0)  # parts 3..n; a_1 and a_2 get no field
+    fields = _fields(n)
+    assert [i for i, _, _ in fields] == list(range(3, n + 1))  # a_1 and a_2 get no field
+    widths = [mask.bit_length() for _, _, mask in fields]
+    assert all(mask == (1 << width) - 1 for (_, _, mask), width in zip(fields, widths))
+    assert [shift for _, shift, _ in fields] == [sum(widths[:j]) for j in range(len(widths))]
     for i in range(3, n + 1):
         most = (0,) * (i - 3) + (n // i,)  # the most parts of size i
         assert unpack(pack(most, n), n) == most
