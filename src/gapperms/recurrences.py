@@ -143,6 +143,8 @@ def _values(p, ns) -> list:
 def _residuals(coeffs, terms: TermTable, start: int, stop: int) -> list:
     """sum_j p_j(n) t(n-j) for each n in range(start, stop), one p_j at a
     time: its `_values` over the range, then a product with t(n-j)."""
+    if start >= stop:
+        return []
     terms[start - len(coeffs) + 1], terms[stop - 1]  # IndexError outside the table
     ns, first = range(start, stop), start - terms.offset
     total = [0] * len(ns)

@@ -16,12 +16,14 @@ Every gap-r tile lives inside one residue class of {1..n} mod r, where it
 is an interval, so the enumerator factors into a product of r interval
 enumerators, each filled in from a multinomial: (a_1 + a_2 + ...)! /
 (a_1! a_2! ...) compositions of an interval have a_i parts of size i.
-That factorization is the production path.  When the class sizes come in
-equal pairs, the board is the square of the product of one half (_operands,
-_product): gap 2 at even n is the square of one class.  Reference-only and
-not exported: the direct board scan (tiling_polynomial_direct, _bump), read
-by the tests and bench/make_reference.py, and run_profile (RunProfile,
-_interval_profile), read by the tests and by traced bench/ runs.
+That factorization is the production path, and _multiply is its one
+product routine, which squares when both operands are one dict.  When the
+class sizes come in equal pairs, the board is the square of the product of
+one half (_operands, _product): gap 2 at even n is the square of one
+class.  Reference-only and not exported: the direct board scan
+(tiling_polynomial_direct, _bump), read by the tests and
+bench/make_reference.py, and run_profile (RunProfile, _interval_profile),
+read by the tests and by traced bench/ runs.
 
 Internally the enumerator of a board with n cells is slotted.  A key is
 the packed int of a monomial's parts >= 3: part size i >= 3 has a bit
@@ -108,25 +110,17 @@ def unpack(key: int, n: int) -> tuple:
 
 def _multiply(p: dict, q: dict, out=None) -> dict:
     """Product of two enumerators keyed by packed ints of one layout, added
-    into `out` when given."""
+    into `out` when given.  When q is p it is a square, which takes each
+    unordered pair of keys once: ca * ca, and 2 * ca * cb off the diagonal."""
     out = {} if out is None else out
-    for ka, ca in p.items():
-        for kb, cb in q.items():
+    square, items = q is p, list(q.items())
+    for i, (ka, ca) in enumerate(p.items()):
+        if square:
+            out[ka + ka] = out.get(ka + ka, 0) + ca * ca
+            ca = 2 * ca
+        for kb, cb in items[i + 1:] if square else items:
             k = ka + kb
             out[k] = out.get(k, 0) + ca * cb
-    return out
-
-
-def _square(p: dict, out=None) -> dict:
-    """_multiply(p, p, out), taking each unordered pair of keys once."""
-    items = list(p.items())
-    out = {} if out is None else out
-    for i, (ka, ca) in enumerate(items):
-        k, twice = ka + ka, 2 * ca
-        out[k] = out.get(k, 0) + ca * ca
-        for kb, cb in items[i + 1:]:
-            k = ka + kb
-            out[k] = out.get(k, 0) + twice * cb
     return out
 
 
@@ -167,10 +161,8 @@ def _product(p: dict, q: dict, n: int, part: int = 0, parts: int = 1) -> dict:
     out = {}
     for i, p_i in enumerate(ps):
         j = (part - i) % parts
-        if q is not p:
-            _multiply(p_i, qs[j], out)
-        elif i == j:
-            _square(p_i, out)
+        if q is not p or i == j:
+            _multiply(p_i, qs[j], out)  # a square when qs[j] is p_i
         elif i < j:
             _multiply(p_i, {k: 2 * c for k, c in qs[j].items()}, out)
     return out

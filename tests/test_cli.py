@@ -378,6 +378,18 @@ def test_commands_read_bfiles_through_the_module_attribute(tmp_path, capsys, mon
         assert calls == [str(bfile)], argv[0]
 
 
+def test_fit_with_no_holdout_at_order_zero(tmp_path, capsys):
+    bfile = tmp_path / "b.txt"
+    bfile.write_text("1 5\n" + "".join(f"{n} 0\n" for n in range(2, 9)))
+    ops = []
+    for holdout in ("0", "1"):
+        opfile = tmp_path / f"holdout{holdout}.op"
+        assert run(capsys, "fit", "--bfile", str(bfile), "--order", "0", "--degree", "1",
+                   "--holdout", holdout, "--opfile", str(opfile)) == (0, "", "")
+        ops.append(opfile.read_bytes())
+    assert ops[0] == ops[1]
+
+
 def test_fit_refusal_names_bound(tmp_path, capsys):
     bfile = tmp_path / "short.txt"
     bfile.write_text("".join(f"{i} {i}\n" for i in range(1, 6)))

@@ -109,6 +109,17 @@ def test_fit_checks_only_the_holdout(monkeypatch):
         assert set(calls[:-1]) == {(5, 45 - holdout)}
 
 
+def test_fit_with_no_holdout_at_order_zero():
+    # the holdout range is empty and starts one past the table, where an
+    # order-0 operator would read its only term
+    terms = TermTable(1, [5, 0, 0, 0, 0, 0, 0, 0])
+    for holdout in (0, 1):
+        assert fit(terms, order=0, degree=1, holdout=holdout) == RecurrenceOperator([[-1, 1]])
+    assert recurrences._residuals([[-1, 1]], terms, 9, 9) == []
+    with pytest.raises(IndexError):
+        RecurrenceOperator([[-1, 1]]).apply(terms, 9)
+
+
 def test_fit_rejects_all_zero_input():
     with pytest.raises(ValueError):
         fit(TermTable(1, [0] * 20), order=1, degree=0)
