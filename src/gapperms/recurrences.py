@@ -16,18 +16,26 @@ t(n) mod p and n mod p, and certified exactly:
 - Nullity 0 mod p proves nullity 0 over Q (rank over Q >= rank mod p).
 - Otherwise the k kernel vectors mod p join, by CRT, the run of primes
   before p with the same dependent columns (or start a new run), and are
-  rationally reconstructed mod the run's product M.  Once every entry
-  reconstructs, each is evaluated as an operator on the window, and this
-  exact check alone accepts it.  Each has 1 at its own dependent column and
-  0 at the other k - 1, so k vectors that pass prove nullity >= k over Q,
-  and the rank inequality gives <= k.
-- Until a check passes, the next prime is taken: PRIME, then the primes
-  below it.  A prime whose dependent columns differ from those over Q
-  divides a fixed nonzero product of minors, so there are finitely many;
+  rationally reconstructed mod the run's product M, in order.  A vector
+  that reconstructs is read as an operator L of order r and evaluated
+  exactly from n = offset + r on; this check alone certifies.  If L holds
+  there, every shift and multiple n^e L(n - s) that fits the box is a
+  kernel vector of the window; if L holds on the window only, L alone is.
+  Each is named by its leading position, its last nonzero column (j, e) in
+  j-major, e-minor order, and once k positions are named the nullity over
+  Q is k:
+    vectors with distinct leading positions are independent, so >= k;
+    the rank over Q is at least the rank mod p, so <= k;
+    so exactly k, the same nullity as a check of all k vectors proves.
+  A kernel spanned by the first operator's family costs one lift.
+- Until k positions are named, the next prime is taken: PRIME, then the
+  primes below it.  A prime whose dependent columns differ from those over
+  Q divides a fixed nonzero product of minors, so there are finitely many;
   with the same columns, the kernel mod p reduces the one over Q.  Each
   prime adds about 29 bits to M, and the entries over Q are ratios of minors
   (Cramer's rule), so the lift is right once M > 2 H**2 for their height H.
-  A wrong lift costs one more prime, never an answer.
+  Then each vector, 1 at its own dependent column and 0 after it, names
+  that column at least.  A wrong lift costs one more prime, never an answer.
 """
 
 import struct
@@ -228,10 +236,15 @@ def _lift(vec: list, m: int):
     return [n * (scale // d) for n, d in fracs]
 
 
-def _kernel(residue_columns, holds):
+def _kernel(residue_columns, certify):
     """Nullity of an integer system and, when it is 1, a kernel vector (else
     None).  `residue_columns(p)` gives the system's columns mod p, and
-    `holds(vec)` says whether an integer vector is in its kernel."""
+    `certify(vec)` the leading positions (last nonzero entries) of the exact
+    kernel vectors that an integer vector proves: none when it is not in the
+    kernel, at least its own when it is.  Once the lifted kernel vectors mod
+    p name k positions, where k is the nullity mod p, the nullity over Q is k:
+    exact kernel vectors with distinct leading positions are independent,
+    so it is >= k, and the rank over Q is at least the rank mod p, so <= k."""
     deps = None
     for p in _primes():
         kernel = _kernel_mod_p(residue_columns(p), p)
@@ -243,9 +256,12 @@ def _kernel(residue_columns, holds):
         residues = [[a + (b - a) * inv % p * m for a, b in zip(old, vec)]
                     for old, (_, vec) in zip(residues, kernel)]
         m *= p
-        vecs = [_lift(vec, m) for vec in residues]
-        if None not in vecs and all(map(holds, vecs)):
-            return len(vecs), (vecs[0] if len(vecs) == 1 else None)
+        certified = set()
+        for vec in residues:
+            if (vec := _lift(vec, m)) is not None:
+                certified.update(certify(vec))
+                if len(certified) >= len(kernel):
+                    return len(kernel), (vec if len(kernel) == 1 else None)
 
 
 def _normalize(vec: list, degree: int) -> list:
@@ -293,10 +309,23 @@ def fit(terms: TermTable, order: int, degree: int, holdout: int = 5):
     if all(v == 0 for v in terms.values):
         raise ValueError("degenerate input: all terms are zero")
 
-    start, stop = terms.offset + order, terms.last + 1 - holdout
-    nullity, vec = _kernel(
-        lambda p: _residue_columns(terms, order, degree, holdout, p),
-        lambda vec: not any(_residuals(_normalize(vec, degree), terms, start, stop)))
+    stop = terms.last + 1 - holdout
+
+    def certify(vec):
+        # vec as an operator L of order r: if L holds from n = offset + r on,
+        # each n^e L(n - s) that fits the box is a kernel vector too
+        coeffs = _normalize(vec, degree)
+        lead = max(i for i, x in enumerate(vec) if x)
+        r = lead // (degree + 1)
+        spare = degree + 1 - max(len(_trim(p)) for p in coeffs)  # degree minus L's degree
+        residuals = _residuals(coeffs[:r + 1], terms, terms.offset + r, stop)
+        if any(residuals[order - r:]):
+            return []
+        if any(residuals):
+            return [lead]  # L holds on the window only
+        return [lead + s * (degree + 1) + e for s in range(order - r + 1) for e in range(spare + 1)]
+
+    nullity, vec = _kernel(lambda p: _residue_columns(terms, order, degree, holdout, p), certify)
     if nullity == 0:
         return None
     if nullity > 1:

@@ -5,9 +5,10 @@ from itertools import islice
 from math import gcd, isqrt, lcm
 from operator import mul
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gapperms import (
@@ -330,12 +331,19 @@ def window_rows(terms, order, degree, holdout):
             for powers in ([(terms.offset + i) ** e for e in range(degree + 1)],)]
 
 
+def leading_position(vec):
+    """The index of the last nonzero entry of vec."""
+    return max(i for i, x in enumerate(vec) if x)
+
+
 def row_kernel(rows, ncols):
     """_kernel on an integer matrix: its columns reduced mod each prime it
-    asks for, and a vector checked exactly against every row."""
+    asks for, and a vector checked exactly against every row, which
+    certifies only its own leading position."""
     columns = list(zip(*rows)) if rows else [()] * ncols
     return _kernel(lambda p: [[x % p for x in col] for col in columns],
-                   lambda vec: not any(sum(map(mul, row, vec)) for row in rows))
+                   lambda vec: [] if any(sum(map(mul, row, vec)) for row in rows)
+                   else [leading_position(vec)])
 
 
 def reference_kernel(rows, ncols):
@@ -391,6 +399,14 @@ def fit_outcome(terms, order, degree):
     return op and op.coeffs
 
 
+def reference_fit_outcome(terms, order, degree):
+    """fit_outcome with the window's kernel from the Fraction basis."""
+    rows = window_rows(terms, order, degree, 5)
+    with mock.patch.object(recurrences, "_kernel", lambda columns, certify: (
+            reference_kernel(rows, len(columns(PRIME))))):
+        return fit_outcome(terms, order, degree)
+
+
 @pytest.fixture
 def primes_used(monkeypatch):
     """The primes each _kernel call takes, one list per call."""
@@ -436,12 +452,20 @@ def test_fit_lifts_over_further_primes(primes_used):
     assert len(primes_used) == 1 and len(primes_used[0]) == 4
     primes_used.clear()
     # Riordan's operator has order 4 and degree 1, so its multiples by every
-    # operator of order <= 5 and degree <= 5 fill a 36-dimensional kernel,
-    # whose basis needs more than one prime to reconstruct
+    # operator of order <= 5 and degree <= 5 fill a 36-dimensional kernel.
+    # Its basis needs two primes to reconstruct, but the first kernel vector
+    # is Riordan's operator, whose 36 shifts and multiples certify it at one
     with pytest.raises(UnderdeterminedError) as exc:
         fit(TermTable(1, riordan_sequence(150)), order=9, degree=6)
     assert exc.value.dimension == 36
-    assert len(primes_used) == 1 and len(primes_used[0]) == 2
+    assert len(primes_used) == 1 and len(primes_used[0]) == 1
+    primes_used.clear()
+    # here the first operator's shifts and multiples fall short of the kernel,
+    # and the second vector's complete it once three primes reconstruct both
+    with pytest.raises(UnderdeterminedError) as exc:
+        fit(TermTable(1, fast_r1(2, ABSOLUTE, 160)), order=15, degree=3)
+    assert exc.value.dimension == 11
+    assert len(primes_used) == 1 and len(primes_used[0]) == 3
 
 
 @st.composite
@@ -548,7 +572,7 @@ def test_residue_columns_reduce_the_exact_window(modulus):
                             sum(map(mul, row, vec)) for row in exact]
 
 
-def test_fit_near_the_prime_agrees_with_the_fraction_reference(monkeypatch, primes_used):
+def test_fit_near_the_prime_agrees_with_the_fraction_reference(primes_used):
     # n runs through PRIME; the operators' coefficients shift by about PRIME,
     # so a reconstruction from residues can look right and still be wrong
     fib = [1, 1]
@@ -560,13 +584,39 @@ def test_fit_near_the_prime_agrees_with_the_fraction_reference(monkeypatch, prim
     outcomes = [fit_outcome(*cell) for cell in cells]
     assert any(len(used) > 1 for used in primes_used)
     assert ([[1], [PRIME - 10, -1], [PRIME - 9, -1]]) in outcomes  # NAV1, shifted
-    reference = []
-    for terms, order, degree in cells:
-        rows = window_rows(terms, order, degree, 5)
-        monkeypatch.setattr(recurrences, "_kernel", lambda columns, holds, rows=rows: (
-            reference_kernel(rows, len(columns(PRIME)))))
-        reference.append(fit_outcome(terms, order, degree))
-    assert reference == outcomes
+    assert [reference_fit_outcome(*cell) for cell in cells] == outcomes
+
+
+@st.composite
+def extended_sequences(draw):
+    """Terms that `extend` builds from a small random operator L of order r,
+    with its first term perturbed or not, and a fit box that holds L's
+    shifts and multiples.  Unperturbed, L holds from n = offset + r on, and
+    its family usually spans the kernel; perturbed, L holds on the window
+    but not at n = offset + r, so it certifies only itself."""
+    r, d = draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    coeffs = [[draw(st.sampled_from((1, -1)))]]
+    coeffs += [[draw(st.integers(-2, 2)) for _ in range(d + 1)] for _ in range(r)]
+    assume(any(coeffs[-1]))
+    order, degree = r + draw(st.integers(0, 2)), d + draw(st.integers(0, 2))
+    offset = draw(st.integers(-2, 2))
+    seeds = TermTable(offset, [draw(st.integers(-3, 3)) for _ in range(r)])
+    size = (order + 1) * (degree + 1) + order + 1 + 5 + draw(st.integers(0, 6))
+    values = extend(RecurrenceOperator(coeffs), seeds, offset + size - 1).values
+    values[0] += draw(st.integers(0, 2))
+    assume(any(values))
+    return TermTable(offset, values), order, degree
+
+
+@settings(max_examples=100, deadline=None)
+@given(extended_sequences(), st.sampled_from((PRIME, 2, 3, 7)))
+@example((TermTable(1, riordan_sequence(40)), 5, 2), PRIME)  # a spanning family of 6
+@example((TermTable(1, [2] + riordan_sequence(40)[1:]), 5, 2), 3)  # L holds on the window only
+def test_fit_by_operator_families_agrees_with_the_fraction_reference(cell, first_prime):
+    # a small first prime often has a larger kernel than Q, and only a
+    # correct certificate sends fit on to the next prime
+    with mock.patch.object(recurrences, "PRIME", first_prime):
+        assert fit_outcome(*cell) == reference_fit_outcome(*cell)
 
 
 def test_fit_checks_exactly_only_for_a_nonempty_kernel(monkeypatch):
