@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Count permutations where entries r apart never differ by s.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # command name -> its subparser, for `_parse`
 
     p = sub.add_parser("compute", help="compute terms with one engine")
     _add_spec_args(p)
@@ -311,22 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The parsed arguments: a known command's own subparser parses the rest
-    of argv, which takes half the time of the full parse.  Anything else (no
-    command, an unknown one, -h, "--", or arguments the subparser leaves
-    over) takes the full parse, so every error keeps its usage text."""
-    parser = build_parser()
-    if argv and argv[0] in parser.commands and "--" not in argv:
-        args, rest = parser.commands[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -19,23 +19,19 @@ t(n) mod p and n mod p, and certified exactly:
   rationally reconstructed mod the run's product M, in order.  A vector
   that reconstructs is read as an operator L of order r and evaluated
   exactly from n = offset + r on; this check alone certifies.  If L holds
-  there, every shift and multiple n^e L(n - s) that fits the box is a
-  kernel vector of the window; if L holds on the window only, L alone is.
-  Each is named by its leading position, its last nonzero column (j, e) in
-  j-major, e-minor order, and once k positions are named the nullity over
-  Q is k:
-    vectors with distinct leading positions are independent, so >= k;
-    the rank over Q is at least the rank mod p, so <= k;
-    so exactly k, the same nullity as a check of all k vectors proves.
-  A kernel spanned by the first operator's family costs one lift.
-- Until k positions are named, the next prime is taken: PRIME, then the
-  primes below it.  A prime whose dependent columns differ from those over
-  Q divides a fixed nonzero product of minors, so there are finitely many;
-  with the same columns, the kernel mod p reduces the one over Q.  Each
-  prime adds about 29 bits to M, and the entries over Q are ratios of minors
-  (Cramer's rule), so the lift is right once M > 2 H**2 for their height H.
-  Then each vector, 1 at its own dependent column and 0 after it, names
-  that column at least.  A wrong lift costs one more prime, never an answer.
+  there, so does every shift and multiple n^e L(n - s) that fits the box;
+  if it holds on the window only, L alone does.  Once the certified vectors
+  have k distinct leading positions (last nonzero columns), the nullity
+  over Q is k (see `_kernel`), so a kernel spanned by one operator's shifts
+  and multiples costs one lift.
+- Until then the next prime is taken: PRIME, then the primes below it.  A
+  prime whose dependent columns differ from those over Q divides a fixed
+  nonzero product of minors, so there are finitely many; with the same
+  columns, the kernel mod p reduces the one over Q.  Each prime adds about
+  29 bits to M, and the entries over Q are ratios of minors (Cramer's
+  rule), so the lift is right once M > 2 H**2 for their height H, and each
+  vector, 1 at its own dependent column and 0 after it, names that column.
+  A wrong lift costs one more prime, never an answer.
 """
 
 import struct
@@ -241,11 +237,12 @@ def _kernel(residue_columns, certify):
     None).  `residue_columns(p)` gives the system's columns mod p, and
     `certify(vec)` the leading positions (last nonzero entries) of the exact
     kernel vectors that an integer vector proves: none when it is not in the
-    kernel, at least its own when it is.  Once the lifted kernel vectors mod
-    p name k positions, where k is the nullity mod p, the nullity over Q is k:
-    exact kernel vectors with distinct leading positions are independent,
-    so it is >= k, and the rank over Q is at least the rank mod p, so <= k."""
-    deps = None
+    kernel, at least its own when it is.  Once the positions named at this
+    prime and the earlier ones number k, the nullity mod p, the nullity over
+    Q is k: exact kernel vectors with distinct leading positions are
+    independent, so it is >= k, and the rank over Q is at least the rank mod
+    p, so <= k."""
+    deps, certified = None, {}  # leading position -> the exact kernel vector that named it
     for p in _primes():
         kernel = _kernel_mod_p(residue_columns(p), p)
         if not kernel:
@@ -256,12 +253,11 @@ def _kernel(residue_columns, certify):
         residues = [[a + (b - a) * inv % p * m for a, b in zip(old, vec)]
                     for old, (_, vec) in zip(residues, kernel)]
         m *= p
-        certified = set()
         for vec in residues:
-            if (vec := _lift(vec, m)) is not None:
-                certified.update(certify(vec))
-                if len(certified) >= len(kernel):
-                    return len(kernel), (vec if len(kernel) == 1 else None)
+            if len(certified) < len(kernel) and (vec := _lift(vec, m)) is not None:
+                certified.update(dict.fromkeys(certify(vec), vec))
+        if len(certified) >= len(kernel):
+            return len(kernel), (certified.popitem()[1] if len(kernel) == 1 else None)
 
 
 def _normalize(vec: list, degree: int) -> list:

@@ -361,44 +361,6 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert "holdout=5" in err
 
 
-PARSE_GRID = [
-    [], ["-h"], ["--help"], ["--version"], ["comp"], ["nope", "--r", "1"], ["--", "fit"],
-    ["compute", "--r", "1", "--s", "2", "--n", "5"],
-    ["compute", "--r=1", "--s=2", "--mode", "abs", "--n", "5", "--engine", "r1fast",
-     "--offset", "0", "--cache-dir", "c", "--bfile", "b"],
-    ["compute", "--r", "1", "--s", "2"], ["compute", "--r", "x", "--s", "2", "--n", "5"],
-    ["compute", "--r", "1", "--s", "2", "--n", "5", "--mode", "both"],
-    ["compute", "--r", "1", "--s", "2", "--n", "5", "extra"],
-    ["compute", "--r", "1", "--s", "2", "--n", "5", "--bogus", "1"],
-    ["compute", "--r", "1", "--s", "2", "--n", "5", "--", "--r", "2"],
-    ["compute", "-h"], ["compute", "--r", "1", "--he"],
-    ["crosscheck", "--r", "2", "--s", "2", "--n", "5", "--engines", "oracle,ie"],
-    ["crosscheck", "--r", "2", "--s", "2", "--n", "5"],
-    ["tilings", "--r", "3", "--n", "7", "--out", "t"], ["tilings", "--n", "7"],
-    ["fit", "--bfile", "b", "--order", "4", "--degree", "1", "--holdout", "3", "--opfile", "o"],
-    ["fit", "--bfile", "b", "--ord", "4", "--deg", "1"], ["fit", "--bfile", "b", "--order", "4"],
-    ["fit", "--bfile", "b", "--order", "4", "--degree", "1", "-x"],
-    ["verify", "--opfile", "o", "--bfile", "b"], ["verify", "--opfile", "o", "b"],
-    ["extend", "--opfile", "o", "--bfile", "b", "--n", "9", "--out", "e"],
-    ["extend", "--opfile", "o", "--bfile", "b", "--n", "9.5"],
-    ["bench", "--r", "2", "--s", "2", "--n", "8", "--engines", "ie", "--engines", "matsuo"],
-]
-
-
-@pytest.mark.parametrize("argv", PARSE_GRID, ids=" ".join)
-def test_command_parse_matches_the_full_parse(capsys, argv):
-    # main hands a known command straight to its subparser; the arguments,
-    # output, usage text and exit status must be those of the full parse
-    def outcome(parse):
-        try:
-            result = vars(parse(list(argv)))
-        except SystemExit as exc:
-            result = exc.code
-        return result, *capsys.readouterr()
-
-    assert outcome(cli._parse) == outcome(cli.build_parser().parse_args)
-
-
 def test_commands_read_bfiles_through_the_module_attribute(tmp_path, capsys, monkeypatch):
     # traced benchmark runs time b-file reads by replacing cli.read_bfile
     bfile, opfile = tmp_path / "a11.txt", tmp_path / "a11.op"

@@ -512,7 +512,8 @@ def test_kernel_takes_a_further_prime_when_the_first_is_unlucky(primes_used):
     # full rank over Q, singular mod p: the kernel vector mod p fails the
     # exact check, and the next prime proves nullity 0
     assert row_kernel([[p, 0], [0, 1]], 2) == (0, None)
-    # nullity 2 mod p but 1 over Q: the next prime finds the one kernel vector
+    # nullity 2 mod p but 1 over Q: the first prime already checks the one
+    # kernel vector, and the next proves that the nullity is 1
     assert row_kernel([[p, 0, 0], [0, 1, 0]], 3) == (1, [0, 0, 1])
     assert [len(used) for used in primes_used] == [2, 2]
 
