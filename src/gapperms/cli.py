@@ -312,10 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython 3.10.7+
+    if limit:  # terms may pass its 4300 int <-> str digits: lift it while the command runs
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _error(exc, 2)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

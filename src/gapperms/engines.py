@@ -26,7 +26,7 @@ def _classic(spec):
 
 ENGINES = {
     "oracle": (lambda spec: True, None,
-               lambda spec, n: _mod("oracle").brute_sequence(spec, n)),
+               lambda spec, n: [_mod("oracle").brute_count(spec, k) for k in range(1, n + 1)]),
     "ie": (lambda spec: True, None,
            lambda spec, n: _mod("inclusion_exclusion").sequence(spec, n)),
     "navarrete": (lambda spec: spec.r == 1 and spec.mode == SIGNED,

@@ -57,13 +57,6 @@ def brute_count(spec: SequenceSpec, n: int) -> int:
     return total
 
 
-def brute_sequence(spec: SequenceSpec, n_max: int) -> list:
-    """brute_count for n = 1..n_max, with the cap checked for the whole
-    range before anything is enumerated."""
-    _check_cap(max(n_max, 0))
-    return [brute_count(spec, n) for n in range(1, n_max + 1)]
-
-
 def violation_profile(spec: SequenceSpec, n: int) -> list:
     """Entry k = number of permutations with exactly k violating indices.
 

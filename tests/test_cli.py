@@ -1,10 +1,12 @@
 """Command-line behaviour: formats, exit codes, caching, stream separation."""
 
 import random
+import sys
+from contextlib import contextmanager, suppress
 
 import pytest
 
-from gapperms import cli, inclusion_exclusion, oracle
+from gapperms import cli, closed_forms, inclusion_exclusion, oracle
 
 
 def run(capsys, *argv):
@@ -548,3 +550,79 @@ def test_bench_runs_each_engine_once_before_its_clock_starts(capsys, monkeypatch
 def test_bench_refuses_an_empty_engine_list(capsys, listed):
     rc, out, err = run(capsys, "bench", "--r", "1", "--s", "1", "--n", "5", "--engines", listed)
     assert (rc, out, err) == (2, "", "error: bench needs at least one engine\n")
+
+
+# Riordan's term 1559 is the first past the 4300-digit int <-> str limit of CPython 3.10.7+.
+BIG_N = 1600
+RIORDAN_OP = "4 1 1\n1\n-1 -1\n-2 1\n-5 1\n3 -1\n"
+
+
+@contextmanager
+def digits_unlimited():
+    """Lift the int <-> str digit limit in the block, to build the expected text of big terms."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def big_riordan_bfile(capsys, path):
+    rc, out, err = run(capsys, "compute", "--r", "1", "--s", "1", "--mode", "abs",
+                       "--n", str(BIG_N), "--engine", "riordan", "--bfile", str(path))
+    assert (rc, out, err) == (0, "", "")
+
+
+def test_compute_writes_terms_past_the_digit_limit(tmp_path, capsys):
+    big = tmp_path / "big.txt"
+    big_riordan_bfile(capsys, big)
+    with digits_unlimited():
+        want = "".join(f"{n} {v}\n" for n, v in
+                       enumerate(closed_forms.riordan_sequence(BIG_N), start=1))
+        assert len(want.splitlines()[1558]) > 4300
+    assert big.read_text() == want
+
+
+def test_verify_and_extend_read_terms_past_the_digit_limit(tmp_path, capsys):
+    big, seeds, opfile = tmp_path / "big.txt", tmp_path / "b.txt", tmp_path / "r.op"
+    big_riordan_bfile(capsys, big)
+    seeds.write_text("".join(big.read_text().splitlines(keepends=True)[:40]))
+    opfile.write_text(RIORDAN_OP)
+    rc, out, err = run(capsys, "verify", "--opfile", str(opfile), "--bfile", str(big))
+    assert (rc, out, err) == (0, "ok\n", "")
+    rc, out, err = run(capsys, "extend", "--opfile", str(opfile), "--bfile", str(seeds),
+                       "--n", str(BIG_N))
+    assert (rc, err) == (0, "")
+    assert out == big.read_text()
+
+
+def test_crosscheck_mismatch_between_big_terms_exits_one(capsys, monkeypatch):
+    terms = closed_forms.riordan_sequence(BIG_N)
+    monkeypatch.setattr(closed_forms, "robbins", lambda n: terms[n - 1] + (n == BIG_N))
+    rc, out, err = run(capsys, "crosscheck", "--r", "1", "--s", "1", "--mode", "abs",
+                       "--n", str(BIG_N), "--engines", "riordan,robbins")
+    assert (rc, out) == (1, "")
+    with digits_unlimited():
+        assert err == f"mismatch at n={BIG_N}: riordan={terms[-1]}, robbins={terms[-1] + 1}\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+@pytest.mark.parametrize("argv", [
+    ["compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", str(BIG_N), "--engine", "riordan"],
+    ["compute", "--r", "1", "--s", "1", "--n", "12", "--engine", "oracle"],
+    ["compute", "--r", "1", "--s", "1", "--n", "five"],
+])
+def test_main_puts_the_callers_digit_limit_back(argv):
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (before, 5000):
+            sys.set_int_max_str_digits(limit)
+            with suppress(SystemExit):  # the bad argument
+                cli.main(argv)
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)

@@ -210,6 +210,13 @@ def test_part_count_follows_cpus_size_and_threads(monkeypatch):
     assert inclusion_exclusion._part_count(10 ** 9) == 1
 
 
+@pytest.mark.parametrize("reported, usable", [(4, 4), (None, 1)])
+def test_cpus_without_sched_getaffinity_falls_back_to_cpu_count(monkeypatch, reported, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: reported)
+    assert inclusion_exclusion._cpus() == usable
+
+
 def forking(monkeypatch, cpus):
     """Force `cpus` parts on every count, and record each fork's pid."""
     monkeypatch.setattr(inclusion_exclusion, "_cpus", lambda: cpus)

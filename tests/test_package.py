@@ -182,3 +182,18 @@ def test_only_fit_verify_and_extend_load_recurrences(tmp_path, capsys):
             want += capsys.readouterr().out + f"{rc} {loaded}\n"
     assert timeless(got) == timeless(want)
     assert "2 False" in want and want.count("0 True") == 3
+
+
+def test_python_m_gapperms_runs_the_cli(tmp_path):
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "gapperms", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=SRC),
+                              capture_output=True, text=True, timeout=60)
+
+    done = module("compute", "--r", "1", "--s", "1", "--mode", "abs", "--n", "5",
+                  "--engine", "riordan")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 1\n2 0\n3 0\n4 2\n5 14\n", "")
+    bad = module("compute", "--r", "1", "--s", "1", "--n", "five")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("usage: gapperms compute")
+    assert "argument --n: invalid int value: 'five'" in bad.stderr
