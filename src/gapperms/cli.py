@@ -58,6 +58,9 @@ def _parse_bfile(lines, where: str) -> tuple:
         try:
             n, v = int(parts[0]), int(parts[1])
         except ValueError:
+            if 0 < (limit := getattr(sys, "get_int_max_str_digits", lambda: 0)()) < len(parts[1]):
+                raise ValueError(f"{where}:{lineno}: a field passes the {limit}-digit int limit, which"
+                                 " gapperms commands lift; library callers: sys.set_int_max_str_digits(0)")
             raise ValueError(f"{where}:{lineno}: non-integer field in {line!r}")
         if offset is None:
             offset = n

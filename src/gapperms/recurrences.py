@@ -169,15 +169,11 @@ def _reduce(packed: int, n: int, p: int) -> list:
 
 def _primes():
     """PRIME, read at call time, then every other odd prime below 2**29 - 3,
-    largest first, by Miller-Rabin with the bases 2, 3, 5 and 7 (exact below
-    3.2e9).  A power that is 0 mod n means n divides the base: n is 3, 5 or 7."""
+    largest first, by trial division."""
     first = PRIME
     yield first
     for n in range(2**29 - 5, 2, -2):
-        s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
-        if n != first and all((x := pow(a, n >> s, n)) in (0, 1, n - 1)
-                              or any((x := x * x % n) == n - 1 for _ in range(s - 1))
-                              for a in (2, 3, 5, 7)):
+        if n != first and all(n % d for d in range(3, isqrt(n) + 1, 2)):
             yield n
 
 

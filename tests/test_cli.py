@@ -116,6 +116,18 @@ def test_bfile_parse_errors(tmp_path):
     with pytest.raises(ValueError) as exc:
         cli.read_bfile(str(gap))
     assert ":2:" in str(exc.value)
+    # a library call keeps the interpreter's digit limit, and a term past it
+    # is named as such, not as a malformed field, without echoing the line
+    big = tmp_path / "big.txt"
+    big.write_text(f"1 1\n2 {'7' * 5000}\n3 2\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        with pytest.raises(ValueError) as exc:
+            cli.read_bfile(str(big))
+        assert f":2: a field passes the {limit}-digit int limit" in str(exc.value)
+        assert "non-integer" not in str(exc.value) and "7777" not in str(exc.value)
+    with digits_unlimited():
+        assert cli.read_bfile(str(big)).values == [1, 7 * (10**5000 - 1) // 9, 2]
 
 
 @pytest.mark.parametrize("text, message", [

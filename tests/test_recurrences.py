@@ -421,6 +421,14 @@ def primes_used(monkeypatch):
 def test_primes_descend_from_the_prime():
     below = (n for n in range(PRIME, 2, -2) if all(n % d for d in range(3, isqrt(n) + 1, 2)))
     assert list(islice(recurrences._primes(), 200)) == list(islice(below, 200))
+    # a sieve of Eratosthenes over PRIME - 3882 .. PRIME, which holds the first 200
+    low = PRIME - 3882
+    sieve = bytearray([1]) * (PRIME - low + 1)
+    for d in range(2, isqrt(PRIME) + 1):
+        sieve[-low % d::d] = bytes(len(range(-low % d, len(sieve), d)))
+    sieved = [low + i for i in reversed(range(len(sieve))) if sieve[i]]
+    assert len(sieved) == 200 and sieved[-1] == 536867027
+    assert list(islice(recurrences._primes(), 200)) == sieved
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 7])
